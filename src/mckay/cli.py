@@ -2,7 +2,8 @@
 
 Every subcommand emits deterministic JSON on stdout (DOT for
 `quiver --dot`); diagnostics go to stderr.  Exit codes: 0 success,
-2 usage error (bad arguments or unknown group spec), 1 internal
+2 usage error (bad arguments, an unknown group spec or one above the
+closure bound, a multiplicity window over its budget), 1 internal
 invariant failure.
 """
 
@@ -44,7 +45,10 @@ def load_pipeline(spec: GroupSpec, use_cache: bool = True
     if payload is None:
         payload = _build_payload(spec)
         if use_cache:
-            cache.store(key, payload)
+            try:
+                cache.store(key, payload)
+            except OSError as exc:
+                print(f"warning: cache not written: {exc}", file=sys.stderr)
     return (FiniteSubgroup.from_json_obj(payload["group"]),
             CharacterTable.from_json_obj(payload["chartab"]),
             CartanData.from_json_obj(payload["cartan"]))

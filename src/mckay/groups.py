@@ -73,6 +73,9 @@ class GroupSpec:
                 raise ValueError("binary-dihedral:m requires m >= 2")
         elif self.parameter is not None:
             raise ValueError(f"{self.family} takes no parameter")
+        if self.order > CLOSURE_BOUND:
+            raise ValueError(f"{self} has order {self.order}, above the "
+                             f"closure bound of {CLOSURE_BOUND}")
 
     @property
     def order(self) -> int:

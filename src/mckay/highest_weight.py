@@ -9,13 +9,15 @@ with multiplicity m(v).  Two independent algorithms are provided:
     (multiplicities are Weyl invariant);
   * weylkac_oracle: a truncated series evaluation of the character as
     (alternating sum over the affine Weyl orbit of w + rho) divided by
-    the product of (1 - e^-beta)^mult over positive roots, the division
-    done as a sparse prefix recursion.
+    the product of (1 - e^-beta)^mult over positive roots.  The series
+    lies row by row in one flat list, a row fixing every coordinate but
+    the last, and each factor is divided out in one pass over the rows.
 
-Both run over a finite window of drop vectors: either all v of height
+Both run over one finite window of drop vectors: either all v of height
 at most D, or all v componentwise below a cap (the cap form reaches
 the imaginary root of the big exceptional types cheaply, since the box
 below delta is small while the height simplex is astronomically big).
+A window of more than WINDOW_BUDGET vectors is refused up front.
 All arithmetic is exact integers.
 
 The symmetric form is fixed by (Lambda_i, alpha_j) = delta_ij and
@@ -27,7 +29,9 @@ the imaginary multiples of delta carrying multiplicity rank.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import add
 
 from .cyclotomic import CycNumber
 from .errors import InvariantError
@@ -72,38 +76,87 @@ class MultiplicityTable:
                 "entries": [[list(v), m] for v, m in self.sorted_items()]}
 
 
+WINDOW_BUDGET = 1_000_000  # most drop vectors one window may hold
+
+
 def _check_framing(w, cd: CartanData) -> tuple[int, ...]:
     w = tuple(w)
     if len(w) != cd.vertex_count:
         raise ValueError("framing length does not match the vertex count")
     if any(x < 0 for x in w):
         raise ValueError("framing entries must be nonnegative")
+    if not any(w):
+        raise ValueError("the framing must be nonzero")
     return w
 
 
-def _simplex_vectors(n: int, depth: int) -> list[tuple[int, ...]]:
-    """All nonnegative integer vectors of length n with sum <= depth,
-    ordered by (height, lexicographic)."""
-    out = []
-    for h in range(depth + 1):
-        level = []
+class _Window:
+    """A downward-closed set of drop vectors v >= 0: a simplex
+    (sum(v) <= depth) or a box (v <= cap componentwise).  Only member,
+    size, rows and shrink look at which of the two it is."""
 
-        def fill(prefix, remaining, slots):
-            if slots == 1:
-                level.append(prefix + (remaining,))
-                return
-            for first in range(remaining + 1):
-                fill(prefix + (first,), remaining - first, slots - 1)
+    def __init__(self, n: int, depth: int | None = None,
+                 cap: tuple[int, ...] | None = None):
+        self.n, self.depth, self.cap = n, depth, cap
+        if self.size > WINDOW_BUDGET:
+            raise ValueError(f"the window holds {self.size} drop vectors, "
+                             f"more than the budget of {WINDOW_BUDGET}")
 
-        fill((), h, n)
-        out.extend(sorted(level))
-    return out
+    @classmethod
+    def simplex(cls, n: int, depth: int) -> _Window:
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        return cls(n, depth=depth)
 
+    @classmethod
+    def box(cls, n: int, cap) -> _Window:
+        cap = tuple(cap)
+        if len(cap) != n:
+            raise ValueError(f"cap must have {n} entries, got {len(cap)}")
+        if any(c < 0 for c in cap):
+            raise ValueError("cap entries must be nonnegative")
+        return cls(n, cap=cap)
 
-def _box_vectors(cap: tuple[int, ...]) -> list[tuple[int, ...]]:
-    vectors = list(itertools.product(*(range(c + 1) for c in cap)))
-    vectors.sort(key=lambda v: (sum(v), v))
-    return vectors
+    def member(self, v) -> bool:
+        if min(v) < 0:
+            return False
+        if self.cap is None:
+            return sum(v) <= self.depth
+        return all(a <= c for a, c in zip(v, self.cap))
+
+    @property
+    def size(self) -> int:
+        if self.cap is None:
+            return math.comb(self.n + self.depth, self.n)
+        return math.prod(c + 1 for c in self.cap)
+
+    def rows(self):
+        """(prefix, run) in lex order of the prefix over the first n - 1
+        coordinates; the row holds prefix + (k,) for 0 <= k < run."""
+        if self.cap is not None:
+            run = self.cap[-1] + 1
+            return ((prefix, run) for prefix in itertools.product(
+                *(range(c + 1) for c in self.cap[:-1])))
+        prefixes = [((), 0)]
+        for _ in range(self.n - 1):
+            prefixes = [(prefix + (k,), height + k)
+                        for prefix, height in prefixes
+                        for k in range(self.depth - height + 1)]
+        return ((prefix, self.depth - height + 1)
+                for prefix, height in prefixes)
+
+    def shrink(self, beta) -> _Window:
+        """The window of v - beta over its members v >= beta."""
+        if self.cap is None:
+            return _Window.simplex(self.n, self.depth - sum(beta))
+        return _Window.box(self.n, (c - b for c, b in zip(self.cap, beta)))
+
+    def vectors(self) -> list[tuple[int, ...]]:
+        """All members, by (height, lex)."""
+        out = [prefix + (k,) for prefix, run in self.rows()
+               for k in range(run)]
+        out.sort(key=sum)  # stable: lex order within each height
+        return out
 
 
 def _finite_roots_on_vertices(cd: CartanData) -> list[tuple[int, ...]]:
@@ -121,31 +174,24 @@ def _finite_roots_on_vertices(cd: CartanData) -> list[tuple[int, ...]]:
     return out
 
 
-def _window_roots(cd: CartanData, max_height: int,
-                  cap: tuple[int, ...] | None = None
+def _window_roots(cd: CartanData, window: _Window
                   ) -> list[tuple[tuple[int, ...], int]]:
-    """Positive affine roots of height <= max_height (and componentwise
-    <= cap when given) with their multiplicities, sorted by height."""
+    """Positive affine roots inside the window with their
+    multiplicities, sorted by height.  Each root s delta, s delta +- beta
+    dominates (s - 1) delta, so the shifts stop at the first multiple of
+    delta outside the window."""
     delta = cd.delta
-    height_delta = sum(delta)
     finite = _finite_roots_on_vertices(cd)
-    roots: list[tuple[tuple[int, ...], int]] = []
-
-    def admit(vec: tuple[int, ...], mult: int) -> None:
-        if sum(vec) <= max_height and min(vec) >= 0:
-            if cap is None or all(a <= b for a, b in zip(vec, cap)):
-                roots.append((vec, mult))
-
-    for beta in finite:
-        admit(beta, 1)
+    candidates = [(beta, 1) for beta in finite]
     shift = 1
-    while shift * height_delta - height_delta + 1 <= max_height:
+    while window.member(tuple((shift - 1) * d for d in delta)):
         base = tuple(shift * d for d in delta)
-        admit(base, cd.rank)
+        candidates.append((base, cd.rank))
         for beta in finite:
-            admit(tuple(b + x for b, x in zip(base, beta)), 1)
-            admit(tuple(b - x for b, x in zip(base, beta)), 1)
+            candidates.append((tuple(b + x for b, x in zip(base, beta)), 1))
+            candidates.append((tuple(b - x for b, x in zip(base, beta)), 1))
         shift += 1
+    roots = [(vec, mult) for vec, mult in candidates if window.member(vec)]
     roots.sort(key=lambda item: (sum(item[0]), item[0]))
     return roots
 
@@ -154,11 +200,11 @@ def _sparse_rows(cartan) -> list[list[tuple[int, int]]]:
     return [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
 
 
-def _freudenthal_core(w: tuple[int, ...], cd: CartanData,
-                      vectors: list[tuple[int, ...]],
+def _freudenthal_core(w: tuple[int, ...], cd: CartanData, window: _Window,
                       roots: list[tuple[tuple[int, ...], int]]
                       ) -> dict[tuple[int, ...], int]:
     n = cd.vertex_count
+    vectors = window.vectors()
     rows = _sparse_rows(cd.cartan)
     root_data = [(beta, mult,
                   sum(w[i] * beta[i] for i in range(n)),
@@ -232,126 +278,77 @@ def _numerator_signs(w: tuple[int, ...], cd: CartanData,
     return signs
 
 
-def _weylkac_core(w: tuple[int, ...], cd: CartanData,
-                  vectors: list[tuple[int, ...]],
-                  roots: list[tuple[tuple[int, ...], int]],
-                  member) -> dict[tuple[int, ...], int]:
-    series = dict(_numerator_signs(w, cd, member))
-    zero = tuple([0] * cd.vertex_count)
-    # divide by prod (1 - e^-beta)^mult: one sparse prefix pass per factor
-    for beta, mult in roots:
-        for _ in range(mult):
-            for v in vectors:
-                if all(a >= b for a, b in zip(v, beta)):
-                    lower = series.get(tuple(a - b for a, b in zip(v, beta)))
-                    if lower:
-                        series[v] = series.get(v, 0) + lower
-    table = {}
-    for v, value in series.items():
-        if value < 0:
-            raise InvariantError(f"negative coefficient at v={v} in the "
-                                 "character series")
-        if value:
-            table[v] = value
-    if table.get(zero) != 1:
-        raise InvariantError("highest weight multiplicity is not 1")
-    return table
-
-
-def _weylkac_core_box(w: tuple[int, ...], cd: CartanData,
-                      cap: tuple[int, ...],
-                      roots: list[tuple[tuple[int, ...], int]]
-                      ) -> dict[tuple[int, ...], int]:
-    """Box-window series division on a flat mixed-radix array; the
-    row-major index order refines the componentwise order, so each
-    prefix pass runs over its sub-box in valid order."""
-    n = cd.vertex_count
-    dims = [c + 1 for c in cap]
-    strides = [0] * n
-    acc = 1
-    for i in reversed(range(n)):
-        strides[i] = acc
-        acc *= dims[i]
-    series = [0] * acc
-
-    member = (lambda v: min(v) >= 0 and all(a <= b for a, b in zip(v, cap)))
-    for drop, sign in _numerator_signs(w, cd, member).items():
-        series[sum(d * s for d, s in zip(drop, strides))] = sign
+def _weylkac_core(w: tuple[int, ...], cd: CartanData, window: _Window,
+                  roots: list[tuple[tuple[int, ...], int]]
+                  ) -> dict[tuple[int, ...], int]:
+    """The numerator laid out row by row in one flat list, divided by
+    each factor (1 - e^-beta) in place.  The pass for beta adds row q of
+    window.shrink(beta) into row q + beta[:-1], shifted by beta[-1];
+    rows run in increasing lex order, which refines the componentwise
+    order of a downward-closed window, so every source entry is final
+    before it is read."""
+    start: dict[tuple[int, ...], int] = {}
+    size = 0
+    for prefix, run in window.rows():
+        start[prefix] = size
+        size += run
+    series = [0] * size
+    for drop, sign in _numerator_signs(w, cd, window.member).items():
+        series[start[drop[:-1]] + drop[-1]] = sign
 
     for beta, mult in roots:
-        offset = sum(b * s for b, s in zip(beta, strides))
-        lo, hi = beta[n - 1], dims[n - 1]
+        head, last = beta[:-1], beta[-1]
+        passes = [(start[q], start[tuple(map(add, q, head))] + last, run)
+                  for q, run in window.shrink(beta).rows()]
         for _ in range(mult):
-            for digits in itertools.product(
-                    *(range(beta[i], dims[i]) for i in range(n - 1))):
-                base = sum(d * s for d, s in zip(digits, strides))
-                for idx in range(base + lo, base + hi):
-                    value = series[idx - offset]
+            for src, dst, run in passes:
+                for k in range(run):
+                    value = series[src + k]
                     if value:
-                        series[idx] += value
+                        series[dst + k] += value
+
     table = {}
-    for idx, value in enumerate(series):
-        if value:
-            if value < 0:
-                raise InvariantError("negative coefficient in the character series")
-            rest = idx
-            v = []
-            for s in strides:
-                v.append(rest // s)
-                rest %= s
-            table[tuple(v)] = value
-    if table.get(tuple([0] * n)) != 1:
+    for prefix, run in window.rows():
+        row = start[prefix]
+        for k in range(run):
+            value = series[row + k]
+            if value:
+                v = prefix + (k,)
+                if value < 0:
+                    raise InvariantError(f"negative coefficient at v={v} in "
+                                         "the character series")
+                table[v] = value
+    if table.get(tuple([0] * cd.vertex_count)) != 1:
         raise InvariantError("highest weight multiplicity is not 1")
     return table
+
+
+def _table(core, w, cd: CartanData, window: _Window) -> MultiplicityTable:
+    w = _check_framing(w, cd)
+    entries = core(w, cd, window, _window_roots(cd, window))
+    return MultiplicityTable(framing=w, depth=window.depth, cap=window.cap,
+                             entries=entries)
 
 
 def freudenthal(w, cd: CartanData, depth: int) -> MultiplicityTable:
     """Multiplicities for all drops of height <= depth."""
-    w = _check_framing(w, cd)
-    if not any(w):
-        raise ValueError("the framing must be nonzero")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    vectors = _simplex_vectors(cd.vertex_count, depth)
-    roots = _window_roots(cd, depth)
-    entries = _freudenthal_core(w, cd, vectors, roots)
-    return MultiplicityTable(framing=w, depth=depth, cap=None, entries=entries)
+    return _table(_freudenthal_core, w, cd,
+                  _Window.simplex(cd.vertex_count, depth))
 
 
 def freudenthal_box(w, cd: CartanData, cap) -> MultiplicityTable:
     """Multiplicities for all drops componentwise below cap."""
-    w = _check_framing(w, cd)
-    if not any(w):
-        raise ValueError("the framing must be nonzero")
-    cap = tuple(cap)
-    vectors = _box_vectors(cap)
-    roots = _window_roots(cd, sum(cap), cap=cap)
-    entries = _freudenthal_core(w, cd, vectors, roots)
-    return MultiplicityTable(framing=w, depth=None, cap=cap, entries=entries)
+    return _table(_freudenthal_core, w, cd, _Window.box(cd.vertex_count, cap))
 
 
 def weylkac_oracle(w, cd: CartanData, depth: int) -> MultiplicityTable:
     """Same table as freudenthal, by the truncated character series."""
-    w = _check_framing(w, cd)
-    if not any(w):
-        raise ValueError("the framing must be nonzero")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    vectors = _simplex_vectors(cd.vertex_count, depth)
-    roots = _window_roots(cd, depth)
-    entries = _weylkac_core(w, cd, vectors, roots,
-                            member=lambda v: sum(v) <= depth and min(v) >= 0)
-    return MultiplicityTable(framing=w, depth=depth, cap=None, entries=entries)
+    return _table(_weylkac_core, w, cd, _Window.simplex(cd.vertex_count, depth))
 
 
 def weylkac_box(w, cd: CartanData, cap) -> MultiplicityTable:
-    w = _check_framing(w, cd)
-    if not any(w):
-        raise ValueError("the framing must be nonzero")
-    cap = tuple(cap)
-    roots = _window_roots(cd, sum(cap), cap=cap)
-    entries = _weylkac_core_box(w, cd, cap, roots)
-    return MultiplicityTable(framing=w, depth=None, cap=cap, entries=entries)
+    """Same table as freudenthal_box, by the truncated character series."""
+    return _table(_weylkac_core, w, cd, _Window.box(cd.vertex_count, cap))
 
 
 def weight_of_lagrangian(v, w) -> AffineWeight:

@@ -62,6 +62,19 @@ def test_unknown_spec_exits_2_and_lists_families(capsys):
     assert "cyclic" in err and "binary-icosahedral" in err
 
 
+def test_group_spec_above_the_closure_bound_exits_2(capsys):
+    code, out, err = invoke(capsys, "group", "cyclic:2500")
+    assert code == 2 and out == ""
+    assert "closure bound" in err
+
+
+def test_char_window_above_the_budget_exits_2(capsys):
+    code, out, err = invoke(capsys, "char", "binary-icosahedral", "--hw",
+                            "1,0,0,0,0,0,0,0,0", "--depth", "20")
+    assert code == 2 and out == ""
+    assert "10015005 drop vectors" in err
+
+
 def test_usage_error_exits_2(capsys):
     code, _, _ = invoke(capsys, "char", "cyclic:2", "--hw", "1,2,3",
                         "--depth", "2")
@@ -212,3 +225,15 @@ def test_corrupt_cache_entries_are_recomputed(capsys):
                                 "payload": {}}))
     code, out3, _ = invoke(capsys, "dimg", "cyclic:3")
     assert code == 0 and out3 == out1
+
+
+def test_unusable_cache_directory_warns_and_computes(capsys, tmp_path,
+                                                     monkeypatch):
+    code, fresh, _ = invoke(capsys, "dimg", "cyclic:3", "--no-cache")
+    assert code == 0
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("MCKAY_CACHE", str(blocker))
+    code, out, err = invoke(capsys, "dimg", "cyclic:3")
+    assert code == 0 and out == fresh
+    assert err.startswith("warning: cache not written") and err.count("\n") == 1

@@ -1,8 +1,8 @@
 import pytest
 
-from mckay.groups import (GroupConstructionError, GroupElement, GroupSpec,
-                          build_group, conjugacy_classes, defining_character,
-                          _close_under_multiplication)
+from mckay.groups import (CLOSURE_BOUND, GroupConstructionError, GroupElement,
+                          GroupSpec, build_group, conjugacy_classes,
+                          defining_character, _close_under_multiplication)
 
 from conftest import pipeline
 
@@ -19,6 +19,9 @@ def test_spec_parsing_and_orders():
         GroupSpec.parse("cyclic:1")
     with pytest.raises(ValueError):
         GroupSpec.parse("binary-tetrahedral:3")
+    assert GroupSpec.parse("binary-dihedral:500").order == CLOSURE_BOUND
+    with pytest.raises(ValueError, match="closure bound"):
+        GroupSpec.parse("binary-dihedral:501")
 
 
 def test_cyclic_2_is_plus_minus_identity():

@@ -47,6 +47,8 @@ def test_delta_multiplicity_is_the_rank():
     ("binary-dihedral:2", (1, 0, 0, 0, 0), 5),
     ("binary-dihedral:2", (0, 0, 1, 0, 1), 4),
     ("binary-tetrahedral", (1, 0, 0, 0, 0, 0, 0), 5),
+    ("cyclic:2", (1, 0), 0),
+    ("cyclic:2", (1, 0), 1),
 ])
 def test_two_algorithms_agree(text, w, depth):
     _, _, cd = pipeline(text)
@@ -54,16 +56,38 @@ def test_two_algorithms_agree(text, w, depth):
 
 
 def test_box_windows_agree_with_each_other_and_with_the_simplex():
+    # uneven caps, a 0 in the last entry (runs of length 1), a 0 inside
+    for text, w, cap in [("cyclic:3", (1, 0, 0), (2, 2, 2)),
+                         ("cyclic:3", (1, 0, 0), (1, 2, 0)),
+                         ("binary-dihedral:2", (1, 0, 0, 0, 0),
+                          (2, 1, 0, 1, 2))]:
+        _, _, cd = pipeline(text)
+        box_f = freudenthal_box(w, cd, cap)
+        box_k = weylkac_box(w, cd, cap)
+        assert box_f.entries == box_k.entries
+        simplex = freudenthal(w, cd, sum(cap))
+        overlap = {v: m for v, m in simplex.entries.items()
+                   if all(a <= b for a, b in zip(v, cap))}
+        assert overlap == box_f.entries
+
+
+@pytest.mark.parametrize("cap", [(1, -1, 1), (1, 1), (1, 1, 1, 1)])
+def test_malformed_caps_are_rejected(cap):
     _, _, cd = pipeline("cyclic:3")
-    w = (1, 0, 0)
-    cap = (2, 2, 2)
-    box_f = freudenthal_box(w, cd, cap)
-    box_k = weylkac_box(w, cd, cap)
-    assert box_f.entries == box_k.entries
-    simplex = freudenthal(w, cd, 6)
-    overlap = {v: m for v, m in simplex.entries.items()
-               if all(a <= b for a, b in zip(v, cap))}
-    assert overlap == box_f.entries
+    for algorithm in (freudenthal_box, weylkac_box):
+        with pytest.raises(ValueError, match="cap"):
+            algorithm((1, 0, 0), cd, cap)
+
+
+def test_windows_over_the_budget_are_refused():
+    _, _, cd = pipeline("cyclic:3")
+    # C(3 + 180, 3) = 1 004 731 and 1001 * 1001 * 1 = 1 002 001 vectors
+    for algorithm in (freudenthal, weylkac_oracle):
+        with pytest.raises(ValueError, match="1004731 drop vectors"):
+            algorithm((1, 0, 0), cd, 180)
+    for algorithm in (freudenthal_box, weylkac_box):
+        with pytest.raises(ValueError, match="1002001 drop vectors"):
+            algorithm((1, 0, 0), cd, (1000, 1000, 0))
 
 
 def test_weyl_invariance_within_the_window():
@@ -87,8 +111,9 @@ def test_zero_framing_rejected():
     _, _, cd = pipeline("cyclic:2")
     with pytest.raises(ValueError):
         freudenthal((0, 0), cd, 2)
-    with pytest.raises(ValueError):
-        weylkac_oracle((1, 0), cd, -1)
+    for algorithm in (freudenthal, weylkac_oracle):
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            algorithm((1, 0), cd, -1)
     with pytest.raises(ValueError):
         freudenthal((1,), cd, 2)
 
