@@ -13,11 +13,10 @@ from .chartab import CharacterTable, character_table, inner_product
 from .cyclotomic import CycNumber, root_of_unity
 from .errors import InternalError, InvariantError
 from .groups import (FiniteSubgroup, GroupElement, GroupSpec, build_group,
-                     conjugacy_classes, defining_character)
+                     defining_character)
 from .highest_weight import (DrinfeldData, MultiplicityTable,
                              drinfeld_polynomials, freudenthal,
-                             freudenthal_box, weight_of_lagrangian,
-                             weylkac_box, weylkac_oracle)
+                             freudenthal_box, weylkac_box, weylkac_oracle)
 from .quiver import (CartanData, classify_ade, expected_ade_type,
                      finite_cartan, mckay_quiver, reference_affine,
                      reference_finite, to_dot)
@@ -25,8 +24,21 @@ from .roots import (AffineWeight, MVStatus, RootSystem, dominance_leq,
                     m_v_status, positive_roots, reconstruct_g_dim,
                     restrict_to_finite, root_system_for, weyl_reflect)
 from .strata import (FiberLabel, StratumLabel, cartan_apply,
-                     enumerate_strata, enumerate_strata_rank1,
-                     fiber_decomposition, fiber_parts, fixed_sym_product,
-                     partitions, transported_framing)
+                     enumerate_strata, enumerate_strata_rank1, fiber_parts,
+                     fixed_sym_product, partitions, transported_framing)
 
+__all__ = [
+    "CharacterTable", "character_table", "inner_product", "CycNumber",
+    "root_of_unity", "InternalError", "InvariantError", "FiniteSubgroup",
+    "GroupElement", "GroupSpec", "build_group", "defining_character",
+    "DrinfeldData", "MultiplicityTable", "drinfeld_polynomials",
+    "freudenthal", "freudenthal_box", "weylkac_box", "weylkac_oracle",
+    "CartanData", "classify_ade", "expected_ade_type", "finite_cartan",
+    "mckay_quiver", "reference_affine", "reference_finite", "to_dot",
+    "AffineWeight", "MVStatus", "RootSystem", "dominance_leq", "m_v_status",
+    "positive_roots", "reconstruct_g_dim", "restrict_to_finite",
+    "root_system_for", "weyl_reflect", "FiberLabel", "StratumLabel",
+    "cartan_apply", "enumerate_strata", "enumerate_strata_rank1",
+    "fiber_parts", "fixed_sym_product", "partitions", "transported_framing",
+]
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from math import isqrt
 
 from .cyclotomic import CycNumber
 from .errors import InternalError
-from .groups import FiniteSubgroup, GroupSpec
+from .groups import FiniteSubgroup, GroupSpec, defining_character
 
 __all__ = ["CharacterTable", "CharacterSolverError", "character_table", "inner_product"]
 
@@ -372,8 +372,7 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
         values=tuple(tuple(vals) for _, vals in rows),
         class_sizes=sizes,
         trivial_index=0,
-        defining_values=tuple(group.elements[rep].trace()
-                              for rep in group.class_reps),
+        defining_values=defining_character(group),
     )
     if any(v != one for v in table.values[0]):
         raise CharacterSolverError("trivial character row is missing")

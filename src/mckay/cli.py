@@ -3,8 +3,8 @@
 Every subcommand emits deterministic JSON on stdout (DOT for
 `quiver --dot`); diagnostics go to stderr.  Exit codes: 0 success,
 2 usage error (bad arguments, an unknown group spec or one above the
-closure bound, a multiplicity window over its budget), 1 internal
-invariant failure.
+closure bound, a multiplicity window or a strata listing over its
+budget), 1 internal invariant failure.
 """
 
 from __future__ import annotations

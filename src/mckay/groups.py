@@ -35,7 +35,6 @@ __all__ = [
     "FiniteSubgroup",
     "GroupConstructionError",
     "build_group",
-    "conjugacy_classes",
     "defining_character",
     "FAMILIES",
 ]
@@ -239,9 +238,6 @@ class FiniteSubgroup:
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
-    def multiply(self, i: int, j: int) -> int:
-        return self.mult_table[i][j]
-
     def power(self, i: int, k: int) -> int:
         out = self.identity_index
         step = i
@@ -440,11 +436,6 @@ def build_group(spec: GroupSpec) -> FiniteSubgroup:
     )
     _validate(group)
     return group
-
-
-def conjugacy_classes(group: FiniteSubgroup) -> tuple[tuple[int, ...], ...]:
-    """The partition of element indices into conjugacy classes."""
-    return group.classes
 
 
 def defining_character(group: FiniteSubgroup) -> tuple[CycNumber, ...]:

@@ -36,7 +36,7 @@ from operator import add
 from .cyclotomic import CycNumber
 from .errors import InvariantError
 from .quiver import CartanData
-from .roots import AffineWeight, root_system_for
+from .roots import root_system_for, unrestrict
 
 __all__ = [
     "MultiplicityTable",
@@ -45,7 +45,6 @@ __all__ = [
     "freudenthal_box",
     "weylkac_oracle",
     "weylkac_box",
-    "weight_of_lagrangian",
     "drinfeld_polynomials",
 ]
 
@@ -73,6 +72,7 @@ class MultiplicityTable:
     def to_json_obj(self) -> dict:
         return {"framing": list(self.framing),
                 "depth": self.depth,
+                "cap": None if self.cap is None else list(self.cap),
                 "entries": [[list(v), m] for v, m in self.sorted_items()]}
 
 
@@ -159,21 +159,6 @@ class _Window:
         return out
 
 
-def _finite_roots_on_vertices(cd: CartanData) -> list[tuple[int, ...]]:
-    """Positive finite roots as vectors on the quiver vertices (zero at
-    the trivial vertex), via the standard labeling."""
-    system = root_system_for(cd)
-    out = []
-    for beta in system.positive:
-        vec = [0] * cd.vertex_count
-        for vertex in range(cd.vertex_count):
-            ref = cd.standard_labeling[vertex]
-            if ref != 0:
-                vec[vertex] = beta[ref - 1]
-        out.append(tuple(vec))
-    return out
-
-
 def _window_roots(cd: CartanData, window: _Window
                   ) -> list[tuple[tuple[int, ...], int]]:
     """Positive affine roots inside the window with their
@@ -181,7 +166,7 @@ def _window_roots(cd: CartanData, window: _Window
     dominates (s - 1) delta, so the shifts stop at the first multiple of
     delta outside the window."""
     delta = cd.delta
-    finite = _finite_roots_on_vertices(cd)
+    finite = [unrestrict(cd, beta, 0) for beta in root_system_for(cd).positive]
     candidates = [(beta, 1) for beta in finite]
     shift = 1
     while window.member(tuple((shift - 1) * d for d in delta)):
@@ -349,11 +334,6 @@ def weylkac_oracle(w, cd: CartanData, depth: int) -> MultiplicityTable:
 def weylkac_box(w, cd: CartanData, cap) -> MultiplicityTable:
     """Same table as freudenthal_box, by the truncated character series."""
     return _table(_weylkac_core, w, cd, _Window.box(cd.vertex_count, cap))
-
-
-def weight_of_lagrangian(v, w) -> AffineWeight:
-    """The weight w - v attached to the central-fiber component of v."""
-    return AffineWeight(framing=tuple(w), drop=tuple(v))
 
 
 @dataclass(frozen=True)

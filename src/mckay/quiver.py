@@ -242,45 +242,33 @@ def classify_ade(adjacency: Matrix, delta: tuple[int, ...],
     raise ClassificationError("not an affine ADE diagram")
 
 
-# -- exact linear algebra over Q ---------------------------------------
+# -- exact linear algebra over Z ---------------------------------------
 
-def _rank_over_q(matrix: Matrix) -> int:
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def matrix_determinant(matrix: Matrix) -> Fraction:
-    rows = [[Fraction(x) for x in row] for row in matrix]
+def matrix_determinant(matrix: Matrix) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination with row swaps: each step divides by the previous pivot,
+    and that division is exact."""
+    rows = [list(row) for row in matrix]
     n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return det
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        for row in rows[k + 1:]:
+            for j in range(k + 1, n):
+                row[j] = (row[j] * top[k] - row[k] * top[j]) // previous
+        previous = top[k]
+    return sign * rows[-1][-1] if n else 1
+
+
+def _delete_vertex(matrix: Matrix, vertex: int) -> Matrix:
+    return tuple(tuple(x for j, x in enumerate(row) if j != vertex)
+                 for i, row in enumerate(matrix) if i != vertex)
 
 
 # -- the quiver itself -------------------------------------------------
@@ -316,10 +304,11 @@ def mckay_quiver(table: CharacterTable) -> CartanData:
     delta = tuple(table.degrees)
     if any(sum(cartan[i][j] * delta[j] for j in range(r)) != 0 for i in range(r)):
         raise InvariantError("C * delta != 0")
-    if _rank_over_q(cartan) != r - 1:
-        raise InvariantError("kernel of the affine Cartan matrix is not a line")
     if min(delta) < 1 or delta[table.trivial_index] != 1:
         raise InvariantError("delta is not a primitive positive kernel vector")
+    # C = C^T and C delta = 0 give adj C = c delta delta^T; this minor is c
+    if matrix_determinant(_delete_vertex(cartan, table.trivial_index)) == 0:
+        raise InvariantError("kernel of the affine Cartan matrix is not a line")
 
     ade_type, labeling = classify_ade(adjacency, delta,
                                       root_vertex=table.trivial_index)
@@ -336,8 +325,7 @@ def mckay_quiver(table: CharacterTable) -> CartanData:
 
 def finite_cartan(cd: CartanData) -> Matrix:
     """Delete the trivial vertex; verified positive definite."""
-    keep = [i for i in range(cd.vertex_count) if i != cd.trivial_vertex]
-    matrix = tuple(tuple(cd.cartan[i][j] for j in keep) for i in keep)
+    matrix = _delete_vertex(cd.cartan, cd.trivial_vertex)
     for k in range(1, len(matrix) + 1):
         minor = tuple(row[:k] for row in matrix[:k])
         if matrix_determinant(minor) <= 0:

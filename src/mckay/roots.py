@@ -37,6 +37,7 @@ __all__ = [
     "dominance_leq",
     "weyl_reflect",
     "restrict_to_finite",
+    "unrestrict",
 ]
 
 GENERATION_BOUND_FACTOR = 10
@@ -176,13 +177,11 @@ def restrict_to_finite(cd: CartanData, v) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _unrestrict(cd: CartanData, finite_part: tuple[int, ...]) -> tuple[int, ...]:
-    out = [1] * cd.vertex_count
-    for vertex in range(cd.vertex_count):
-        ref = cd.standard_labeling[vertex]
-        if ref != 0:
-            out[vertex] = finite_part[ref - 1]
-    return tuple(out)
+def unrestrict(cd: CartanData, finite_part, at_trivial: int) -> tuple[int, ...]:
+    """Inverse of restrict_to_finite: reference coordinates onto the
+    quiver vertices, with at_trivial on the trivial vertex."""
+    return tuple(at_trivial if ref == 0 else finite_part[ref - 1]
+                 for ref in cd.standard_labeling)
 
 
 def m_v_status(v, cd: CartanData) -> MVStatus:
@@ -211,7 +210,7 @@ def reconstruct_g_dim(cd: CartanData) -> int:
     count = 0
     for positive in system.positive:
         for beta in (positive, tuple(-x for x in positive)):
-            v = _unrestrict(cd, tuple(t + b for t, b in zip(theta, beta)))
+            v = unrestrict(cd, tuple(t + b for t, b in zip(theta, beta)), 1)
             if v != cd.delta and m_v_status(v, cd) is MVStatus.SINGLE_POINT:
                 count += 1
     return count + cd.rank

@@ -12,11 +12,13 @@ representation, so nonnegativity is enforced as a necessary
 nonemptiness filter; labels with a nonzero locally-free part are only
 candidates (no sufficient criterion is implemented).  In rank one, the
 only locally-free sheaf trivial at infinity is the trivial line
-bundle, so v0 = 0 is forced there.
+bundle, so v0 = 0 is forced there.  A listing of more than
+STRATA_BUDGET vectors and labels is refused before it starts.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .quiver import CartanData
@@ -30,7 +32,6 @@ __all__ = [
     "cartan_apply",
     "transported_framing",
     "fiber_parts",
-    "fiber_decomposition",
     "enumerate_strata",
 ]
 
@@ -107,6 +108,36 @@ def partitions(m: int) -> list[tuple[int, ...]]:
     return out
 
 
+STRATA_BUDGET = 1_000_000  # most v0 vectors plus labels one call may list
+_PARTITION_CUT = 100  # p(100) alone is over the budget
+
+
+def _check_budget(n: int, weights: tuple[int, ...], order: int) -> None:
+    """Refuse up front to list more than STRATA_BUDGET v0 vectors plus
+    labels; nothing is enumerated.  ways[u] counts the v0 with
+    sum(v0_i weights_i) = u (coin change), and each brings one label per
+    partition of every m <= (n - u) // order.  Cutting u at the budget
+    and m at _PARTITION_CUT only lowers the count, and a cut count is
+    already over the budget (delta has an entry 1)."""
+    top = min(n, STRATA_BUDGET)
+    ways = [1] + [0] * top
+    for d in weights:
+        for u in range(d, top + 1):
+            ways[u] += ways[u - d]
+    cut = min(n // order, _PARTITION_CUT)
+    p = [1] + [0] * cut
+    for part in range(1, cut + 1):
+        for m in range(part, cut + 1):
+            p[m] += p[m - part]
+    labels_up_to = list(itertools.accumulate(p))
+    count = sum(k * (1 + labels_up_to[min((n - u) // order, cut)])
+                for u, k in enumerate(ways) if k)
+    if count > STRATA_BUDGET:
+        bound = "at least " if top < n or cut < n // order else ""
+        raise ValueError(f"strata for n = {n} list {bound}{count} vectors and "
+                         f"labels, more than the budget of {STRATA_BUDGET}")
+
+
 def _label_sort_key(label: StratumLabel) -> tuple:
     return (-sum(label.lam), label.lam)
 
@@ -118,6 +149,7 @@ def enumerate_strata_rank1(n: int, cd: CartanData) -> list[StratumLabel]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     order = cd.group_order
+    _check_budget(n, (), order)
     zero = tuple([0] * cd.vertex_count)
     labels = []
     for m in range(n // order, -1, -1):
@@ -158,11 +190,6 @@ def fiber_parts(v, w, v0, lam, cd: CartanData) -> FiberLabel:
     )
 
 
-def fiber_decomposition(v, w, s: StratumLabel, cd: CartanData) -> FiberLabel:
-    """Bookkeeping of the fiber over a point of stratum s."""
-    return fiber_parts(v, w, s.v0, s.lam, cd)
-
-
 def _bounded_vectors(weights: tuple[int, ...], budget: int) -> list[tuple[int, ...]]:
     """Nonnegative vectors v with sum(v_i * weights_i) <= budget, in
     lexicographic order."""
@@ -195,6 +222,7 @@ def enumerate_strata(n: int, w, cd: CartanData) -> list[StratumLabel]:
     if rank_one:
         return enumerate_strata_rank1(n, cd)
     order = cd.group_order
+    _check_budget(n, cd.delta, order)
     labels = []
     for v0 in _bounded_vectors(cd.delta, n):
         if transported_framing(w, v0, cd) is None:

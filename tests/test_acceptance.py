@@ -18,7 +18,7 @@ from mckay.highest_weight import (freudenthal, freudenthal_box, weylkac_box,
                                   weylkac_oracle)
 from mckay.quiver import expected_ade_type
 from mckay.roots import MVStatus, m_v_status, reconstruct_g_dim
-from mckay.strata import cartan_apply, enumerate_strata_rank1, fiber_decomposition, \
+from mckay.strata import cartan_apply, enumerate_strata_rank1, fiber_parts, \
     StratumLabel
 
 from conftest import lambda_0, pipeline
@@ -227,7 +227,7 @@ def test_criterion_8_fiber_bookkeeping_identity():
                                  reverse=True))
             stratum = StratumLabel(v0=v0, lam=parts, residual=0,
                                    candidate=True)
-            fiber = fiber_decomposition(v, w, stratum, cd)
+            fiber = fiber_parts(v, w, stratum.v0, stratum.lam, cd)
             if fiber.empty:
                 continue
             m = sum(parts)

@@ -75,6 +75,12 @@ def test_char_window_above_the_budget_exits_2(capsys):
     assert "10015005 drop vectors" in err
 
 
+def test_strata_above_the_budget_exits_2(capsys):
+    code, out, err = invoke(capsys, "strata", "cyclic:2", "--n", "120")
+    assert code == 2 and out == ""
+    assert "6639350 vectors and labels" in err
+
+
 def test_usage_error_exits_2(capsys):
     code, _, _ = invoke(capsys, "char", "cyclic:2", "--hw", "1,2,3",
                         "--depth", "2")

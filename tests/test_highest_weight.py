@@ -2,8 +2,7 @@ import pytest
 
 from mckay.cyclotomic import CycNumber, root_of_unity
 from mckay.highest_weight import (drinfeld_polynomials, freudenthal,
-                                  freudenthal_box, weight_of_lagrangian,
-                                  weylkac_box, weylkac_oracle)
+                                  freudenthal_box, weylkac_box, weylkac_oracle)
 from mckay.roots import AffineWeight, MVStatus, m_v_status
 
 from conftest import lambda_0, pipeline
@@ -79,6 +78,17 @@ def test_malformed_caps_are_rejected(cap):
             algorithm((1, 0, 0), cd, cap)
 
 
+def test_table_json_records_its_window():
+    _, _, cd = pipeline("cyclic:3")
+    assert freudenthal_box((1, 0, 0), cd, (1, 1, 0)).to_json_obj() == {
+        "framing": [1, 0, 0], "depth": None, "cap": [1, 1, 0],
+        "entries": [[[0, 0, 0], 1], [[1, 0, 0], 1], [[1, 1, 0], 1]]}
+    assert weylkac_oracle((1, 0, 0), cd, 2).to_json_obj() == {
+        "framing": [1, 0, 0], "depth": 2, "cap": None,
+        "entries": [[[0, 0, 0], 1], [[1, 0, 0], 1], [[1, 0, 1], 1],
+                    [[1, 1, 0], 1]]}
+
+
 def test_windows_over_the_budget_are_refused():
     _, _, cd = pipeline("cyclic:3")
     # C(3 + 180, 3) = 1 004 731 and 1001 * 1001 * 1 = 1 002 001 vectors
@@ -135,10 +145,10 @@ def test_basic_multiplicities_match_the_component_dichotomy():
 
 def test_weight_of_lagrangian():
     w = (1, 0, 2)
-    assert weight_of_lagrangian((0, 0, 0), w) == AffineWeight(w, (0, 0, 0))
-    mu = weight_of_lagrangian((1, 2, 0), w)
-    nu = weight_of_lagrangian((0, 1, 3), w)
-    combined = weight_of_lagrangian((1, 3, 3), w)
+    assert AffineWeight(framing=w, drop=(0, 0, 0)) == AffineWeight(w, (0, 0, 0))
+    mu = AffineWeight(framing=w, drop=(1, 2, 0))
+    nu = AffineWeight(framing=w, drop=(0, 1, 3))
+    combined = AffineWeight(framing=w, drop=(1, 3, 3))
     assert combined.drop == tuple(a + b for a, b in zip(mu.drop, nu.drop))
 
 

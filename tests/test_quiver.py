@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from mckay.errors import InvariantError
 from mckay.quiver import (CartanData, ClassificationError, classify_ade,
                           expected_ade_type, finite_cartan, matrix_determinant,
                           reference_affine, reference_finite, to_dot)
@@ -127,6 +128,29 @@ def test_finite_cartan_examples():
 def test_finite_cartan_determinants_match_classical_indices(text, det):
     _, _, cd = pipeline(text)
     assert matrix_determinant(finite_cartan(cd)) == det
+
+
+@pytest.mark.parametrize("matrix,det", [
+    (((0, 1), (1, 0)), -1),  # needs a row swap
+    (((1, 2, 3), (2, 4, 6), (1, 0, 1)), 0),
+    ((), 1),
+    (((2, 1), (1, 2)), 3),
+    (((0, 2, 1), (3, 0, 0), (1, 1, 4)), -21),  # a swap, then exact divisions
+])
+def test_matrix_determinant(matrix, det):
+    assert matrix_determinant(matrix) == det
+    assert type(matrix_determinant(matrix)) is int
+
+
+def test_finite_cartan_rejects_a_finite_part_that_is_not_positive_definite():
+    # deleting vertex 0 leaves the affine A~1 matrix, whose determinant is 0
+    adjacency = ((0, 0, 0), (0, 0, 2), (0, 2, 0))
+    cd = CartanData(vertex_count=3, adjacency=adjacency,
+                    cartan=((2, 0, 0), (0, 2, -2), (0, -2, 2)),
+                    delta=(1, 1, 1), trivial_vertex=0, ade_type="A~2",
+                    standard_labeling=(0, 1, 2))
+    with pytest.raises(InvariantError, match="not positive definite"):
+        finite_cartan(cd)
 
 
 def test_dot_output_shape():

@@ -6,7 +6,7 @@ import pytest
 
 from mckay.strata import (FiberLabel, StratumLabel, cartan_apply,
                           enumerate_strata, enumerate_strata_rank1,
-                          fiber_decomposition, fixed_sym_product, partitions,
+                          fiber_parts, fixed_sym_product, partitions,
                           transported_framing)
 
 from conftest import pipeline
@@ -122,7 +122,7 @@ def test_fiber_decomposition_zero_stratum_is_identity():
     s = StratumLabel(v0=zero, lam=(), residual=3)
     v = (2, 1, 0, 1, 2)
     w = (1, 0, 0, 1, 0)
-    fiber = fiber_decomposition(v, w, s, cd)
+    fiber = fiber_parts(v, w, s.v0, s.lam, cd)
     assert fiber == FiberLabel(lagrangian_v=v, transported_w=w,
                                punctual_parts=(), empty=False)
 
@@ -130,7 +130,7 @@ def test_fiber_decomposition_zero_stratum_is_identity():
 def test_fiber_decomposition_delta_example():
     _, _, cd = pipeline("cyclic:2")
     s = StratumLabel(v0=(0, 0), lam=(1,), residual=0)
-    fiber = fiber_decomposition((1, 1), (1, 0), s, cd)
+    fiber = fiber_parts((1, 1), (1, 0), s.v0, s.lam, cd)
     assert fiber.lagrangian_v == (0, 0)
     assert fiber.punctual_parts == (1,)
     assert not fiber.empty
@@ -139,7 +139,7 @@ def test_fiber_decomposition_delta_example():
 def test_fiber_decomposition_flags_negative_labels():
     _, _, cd = pipeline("cyclic:2")
     s = StratumLabel(v0=(0, 0), lam=(2,), residual=0)
-    fiber = fiber_decomposition((1, 1), (1, 0), s, cd)
+    fiber = fiber_parts((1, 1), (1, 0), s.v0, s.lam, cd)
     assert fiber.empty
 
 
@@ -155,13 +155,27 @@ def test_fiber_bookkeeping_identity_raw():
             lam = tuple(sorted((rng.randrange(1, 3)
                                 for _ in range(rng.randrange(3))), reverse=True))
             s = StratumLabel(v0=v0, lam=lam, residual=0, candidate=True)
-            fiber = fiber_decomposition(v, w, s, cd)
+            fiber = fiber_parts(v, w, s.v0, s.lam, cd)
             if fiber.empty:
                 continue
             m = sum(lam)
             rebuilt = tuple(l + a + m * d for l, a, d in
                             zip(fiber.lagrangian_v, v0, cd.delta))
             assert rebuilt == v
+
+
+def test_strata_over_the_budget_are_refused():
+    _, _, cd = pipeline("cyclic:2")
+    # one v0 plus the partitions of every m <= 60
+    with pytest.raises(ValueError, match="6639350 vectors and labels"):
+        enumerate_strata_rank1(120, cd)
+    with pytest.raises(ValueError, match="6639350 vectors and labels"):
+        enumerate_strata(120, (1, 0), cd)
+    # 1596 v0 of weight <= 55 before the framing filter, with their labels
+    with pytest.raises(ValueError, match="1110811 vectors and labels"):
+        enumerate_strata(55, (2, 1), cd)
+    with pytest.raises(ValueError, match="at least"):
+        enumerate_strata(10 ** 7, (2, 1), cd)
 
 
 def test_enumerate_strata_zero_points():
