@@ -39,7 +39,8 @@ def load(key: str) -> dict | None:
             entry = json.load(handle)
     except (OSError, json.JSONDecodeError):
         return None
-    if entry.get("format_version") != FORMAT_VERSION or entry.get("key") != key:
+    if (not isinstance(entry, dict) or entry.get("format_version") != FORMAT_VERSION
+            or entry.get("key") != key):
         return None
     return entry.get("payload")
 

@@ -43,6 +43,11 @@ class CharacterTable:
     trivial_index: int
     defining_values: tuple[CycNumber, ...]
 
+    def __post_init__(self):
+        one = CycNumber.coerce(1)
+        if self.trivial_index != 0 or any(v != one for v in self.values[0]):
+            raise CharacterSolverError("trivial character row is missing")
+
     @property
     def n_classes(self) -> int:
         return len(self.class_sizes)
@@ -374,7 +379,5 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
         trivial_index=0,
         defining_values=defining_character(group),
     )
-    if any(v != one for v in table.values[0]):
-        raise CharacterSolverError("trivial character row is missing")
     _verify_orthogonality(table)
     return table

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import cache
 from .chartab import CharacterTable, character_table
 from .cyclotomic import CycNumber, root_of_unity
-from .errors import InternalError
+from .errors import InternalError, InvariantError
 from .groups import FiniteSubgroup, GroupSpec, build_group
 from .highest_weight import drinfeld_polynomials, freudenthal, weylkac_oracle
 from .quiver import CartanData, mckay_quiver, to_dot
@@ -36,22 +36,37 @@ def _build_payload(spec: GroupSpec) -> dict:
             "cartan": cartan.to_json_obj()}
 
 
+def _from_payload(spec: GroupSpec, payload: dict
+                  ) -> tuple[FiniteSubgroup, CharacterTable, CartanData]:
+    group = FiniteSubgroup.from_json_obj(payload["group"])
+    table = CharacterTable.from_json_obj(payload["chartab"])
+    cartan = CartanData.from_json_obj(payload["cartan"])
+    if ((group.spec, table.group_spec, cartan.delta, cartan.trivial_vertex)
+            != (spec, spec, table.degrees, table.trivial_index)):
+        raise InvariantError("group, table and quiver are not of one spec")
+    return group, table, cartan
+
+
 def load_pipeline(spec: GroupSpec, use_cache: bool = True
                   ) -> tuple[FiniteSubgroup, CharacterTable, CartanData]:
     """Group, character table, and Cartan data for a spec, through the
-    on-disk cache unless told otherwise."""
+    on-disk cache unless told otherwise.  A cache entry that fails to
+    load or to verify is recomputed and overwritten."""
     key = str(spec)
     payload = cache.load(key) if use_cache else None
-    if payload is None:
-        payload = _build_payload(spec)
-        if use_cache:
-            try:
-                cache.store(key, payload)
-            except OSError as exc:
-                print(f"warning: cache not written: {exc}", file=sys.stderr)
-    return (FiniteSubgroup.from_json_obj(payload["group"]),
-            CharacterTable.from_json_obj(payload["chartab"]),
-            CartanData.from_json_obj(payload["cartan"]))
+    if payload is not None:
+        try:
+            return _from_payload(spec, payload)
+        except (LookupError, TypeError, ValueError, AttributeError,
+                ArithmeticError, InternalError):
+            pass  # a damaged entry, or one that does not verify
+    payload = _build_payload(spec)
+    if use_cache:
+        try:
+            cache.store(key, payload)
+        except OSError as exc:
+            print(f"warning: cache not written: {exc}", file=sys.stderr)
+    return _from_payload(spec, payload)
 
 
 def _parse_int_vector(text: str, length: int, label: str) -> tuple[int, ...]:

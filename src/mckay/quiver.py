@@ -79,15 +79,15 @@ class CartanData:
 
     @staticmethod
     def from_json_obj(obj: dict) -> CartanData:
-        return CartanData(
-            vertex_count=obj["vertex_count"],
-            adjacency=tuple(tuple(r) for r in obj["adjacency"]),
-            cartan=tuple(tuple(r) for r in obj["cartan"]),
-            delta=tuple(obj["delta"]),
-            trivial_vertex=obj["trivial_vertex"],
-            ade_type=obj["ade_type"],
-            standard_labeling=tuple(obj["standard_labeling"]),
-        )
+        """Rebuilt from the adjacency, delta and trivial vertex, with every
+        invariant checked again; the stored Cartan matrix, type and
+        labeling must equal the recomputed ones."""
+        cd = _verified_cartan_data(tuple(tuple(r) for r in obj["adjacency"]),
+                                   tuple(obj["delta"]), obj["trivial_vertex"])
+        if cd.to_json_obj() != obj:
+            raise InvariantError("stored Cartan data differ from what their "
+                                 "quiver gives")
+        return cd
 
 
 # -- reference diagrams ------------------------------------------------
@@ -148,68 +148,33 @@ def expected_ade_type(spec: GroupSpec) -> str:
 
 
 def _candidate_types(count: int) -> list[str]:
-    out = []
-    if count >= 2:
-        out.append(f"A~{count - 1}")
+    out = [f"A~{count - 1}"] if count >= 2 else []
     if count >= 5:
         out.append(f"D~{count - 1}")
-    if count == 7:
-        out.append("E~6")
-    if count == 8:
-        out.append("E~7")
-    if count == 9:
-        out.append("E~8")
-    return out
+    return out + {7: ["E~6"], 8: ["E~7"], 9: ["E~8"]}.get(count, [])
 
 
-def _is_connected(adjacency: Matrix) -> bool:
-    n = len(adjacency)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if adjacency[i][j] and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
-
-
-def _find_isomorphism(adjacency: Matrix, delta: tuple[int, ...],
-                      ref_adj: Matrix, ref_delta: tuple[int, ...],
-                      root_vertex: int | None) -> tuple[int, ...] | None:
-    """Backtracking graph isomorphism preserving delta labels, with the
-    optional constraint root_vertex -> 0.  Deterministic: vertices are
-    assigned in order and the smallest valid image wins."""
-    n = len(adjacency)
-    image: list[int | None] = [None] * n
-    used = [False] * n
-
-    def consistent(v: int, t: int) -> bool:
-        if delta[v] != ref_delta[t]:
-            return False
-        for u in range(n):
-            if image[u] is not None and adjacency[v][u] != ref_adj[t][image[u]]:
-                return False
-        return True
-
-    def assign(v: int) -> bool:
-        if v == n:
-            return True
-        targets = [0] if root_vertex == v else range(n)
-        for t in targets:
-            if not used[t] and consistent(v, t):
-                image[v] = t
-                used[t] = True
-                if assign(v + 1):
-                    return True
-                image[v] = None
-                used[t] = False
-        return False
-
-    if root_vertex is not None and not consistent(root_vertex, 0):
-        return None
-    return tuple(image) if assign(0) else None
+def _isomorphisms(adjacency: Matrix, delta: tuple[int, ...], ref_adj: Matrix,
+                  ref_delta: tuple[int, ...], parent: dict[int, int | None],
+                  root_targets) -> list[tuple[int, ...]]:
+    """Every delta-preserving isomorphism onto the reference diagram.
+    Partial maps grow in breadth-first order: each vertex after the root
+    goes to an unused reference neighbour of its parent's image, and
+    only maps that still agree on delta and edges are kept."""
+    partial: list[dict[int, int]] = [{}]
+    for v, p in parent.items():
+        grown = []
+        for image in partial:
+            targets = (root_targets if p is None else
+                       [t for t, edges in enumerate(ref_adj[image[p]]) if edges])
+            for t in targets:
+                if (t not in image.values() and delta[v] == ref_delta[t]
+                        and adjacency[v][v] == ref_adj[t][t]
+                        and all(adjacency[v][u] == ref_adj[t][s]
+                                for u, s in image.items())):
+                    grown.append({**image, v: t})
+        partial = grown
+    return [tuple(image[v] for v in range(len(image))) for image in partial]
 
 
 def classify_ade(adjacency: Matrix, delta: tuple[int, ...],
@@ -217,8 +182,12 @@ def classify_ade(adjacency: Matrix, delta: tuple[int, ...],
     """Identify the graph with a reference affine ADE diagram.
 
     Returns the type tag and an explicit vertex bijection onto the
-    reference labeling (root_vertex, when given, is sent to vertex 0).
-    Raises ClassificationError if the graph matches no reference.
+    reference labeling: labeling[v] is the reference vertex of v, delta
+    labels and edge multiplicities are preserved, and root_vertex, when
+    given, is sent to vertex 0.  Of all such bijections the
+    lexicographically smallest tuple is returned, so the labeling does
+    not depend on how the search runs.  Raises ClassificationError if
+    the graph matches no reference.
     """
     adjacency = tuple(tuple(row) for row in adjacency)
     n = len(adjacency)
@@ -226,19 +195,26 @@ def classify_ade(adjacency: Matrix, delta: tuple[int, ...],
         raise ClassificationError("adjacency matrix is not square")
     if any(adjacency[i][j] != adjacency[j][i] for i in range(n) for j in range(n)):
         raise ClassificationError("adjacency matrix is not symmetric")
-    if not _is_connected(adjacency):
-        raise ClassificationError("not an affine ADE diagram: graph is disconnected")
     delta = tuple(delta)
+    if n < 2 or len(delta) != n:
+        raise ClassificationError("not an affine ADE diagram")
+    # each vertex reached from the root, mapped to its breadth-first parent
+    parent: dict[int, int | None] = {0 if root_vertex is None else root_vertex: None}
+    queue = list(parent)
+    for v in queue:  # the loop also visits what it appends
+        for u, edges in enumerate(adjacency[v]):
+            if edges and u not in parent:
+                parent[u] = v
+                queue.append(u)
+    if len(parent) != n:
+        raise ClassificationError("not an affine ADE diagram: graph is disconnected")
+    root_targets = range(n) if root_vertex is None else (0,)
     for ade_type in _candidate_types(n):
         ref_adj, ref_delta = reference_affine(ade_type)
-        if sorted(map(sum, adjacency)) != sorted(map(sum, ref_adj)):
-            continue
-        if sorted(delta) != sorted(ref_delta):
-            continue
-        labeling = _find_isomorphism(adjacency, delta, ref_adj, ref_delta,
-                                     root_vertex)
-        if labeling is not None:
-            return ade_type, labeling
+        labelings = _isomorphisms(adjacency, delta, ref_adj, ref_delta,
+                                  parent, root_targets)
+        if labelings:
+            return ade_type, min(labelings)
     raise ClassificationError("not an affine ADE diagram")
 
 
@@ -292,6 +268,17 @@ def mckay_quiver(table: CharacterTable) -> CartanData:
                 raise InvariantError(f"multiplicity a[{i}][{j}] = {acc} is not a "
                                      "nonnegative integer")
             adjacency[i][j] = int(acc.rational_value())
+    return _verified_cartan_data(tuple(tuple(row) for row in adjacency),
+                                 tuple(table.degrees), table.trivial_index)
+
+
+def _verified_cartan_data(adjacency: Matrix, delta: tuple[int, ...],
+                          trivial: int) -> CartanData:
+    """Cartan data of a quiver with delta as its dimension vector, after
+    checking: no loops, symmetry, C * delta = 0, delta positive and
+    primitive, a one-dimensional kernel, and classification with the
+    trivial vertex as the root."""
+    r = len(adjacency)
     for i in range(r):
         if adjacency[i][i] != 0:
             raise InvariantError(f"loop at vertex {i}: catalog quivers have none")
@@ -301,23 +288,21 @@ def mckay_quiver(table: CharacterTable) -> CartanData:
 
     cartan = tuple(tuple((2 if i == j else 0) - adjacency[i][j] for j in range(r))
                    for i in range(r))
-    delta = tuple(table.degrees)
     if any(sum(cartan[i][j] * delta[j] for j in range(r)) != 0 for i in range(r)):
         raise InvariantError("C * delta != 0")
-    if min(delta) < 1 or delta[table.trivial_index] != 1:
+    if min(delta) < 1 or delta[trivial] != 1:
         raise InvariantError("delta is not a primitive positive kernel vector")
     # C = C^T and C delta = 0 give adj C = c delta delta^T; this minor is c
-    if matrix_determinant(_delete_vertex(cartan, table.trivial_index)) == 0:
+    if matrix_determinant(_delete_vertex(cartan, trivial)) == 0:
         raise InvariantError("kernel of the affine Cartan matrix is not a line")
 
-    ade_type, labeling = classify_ade(adjacency, delta,
-                                      root_vertex=table.trivial_index)
+    ade_type, labeling = classify_ade(adjacency, delta, root_vertex=trivial)
     return CartanData(
         vertex_count=r,
-        adjacency=tuple(tuple(row) for row in adjacency),
+        adjacency=adjacency,
         cartan=cartan,
         delta=delta,
-        trivial_vertex=table.trivial_index,
+        trivial_vertex=trivial,
         ade_type=ade_type,
         standard_labeling=labeling,
     )

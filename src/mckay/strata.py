@@ -112,34 +112,11 @@ STRATA_BUDGET = 1_000_000  # most v0 vectors plus labels one call may list
 _PARTITION_CUT = 100  # p(100) alone is over the budget
 
 
-def _check_budget(n: int, weights: tuple[int, ...], order: int) -> None:
-    """Refuse up front to list more than STRATA_BUDGET v0 vectors plus
-    labels; nothing is enumerated.  ways[u] counts the v0 with
-    sum(v0_i weights_i) = u (coin change), and each brings one label per
-    partition of every m <= (n - u) // order.  Cutting u at the budget
-    and m at _PARTITION_CUT only lowers the count, and a cut count is
-    already over the budget (delta has an entry 1)."""
-    top = min(n, STRATA_BUDGET)
-    ways = [1] + [0] * top
-    for d in weights:
-        for u in range(d, top + 1):
-            ways[u] += ways[u - d]
-    cut = min(n // order, _PARTITION_CUT)
-    p = [1] + [0] * cut
-    for part in range(1, cut + 1):
-        for m in range(part, cut + 1):
-            p[m] += p[m - part]
-    labels_up_to = list(itertools.accumulate(p))
-    count = sum(k * (1 + labels_up_to[min((n - u) // order, cut)])
-                for u, k in enumerate(ways) if k)
+def _refuse_over_budget(n: int, count: int, cut: bool) -> None:
     if count > STRATA_BUDGET:
-        bound = "at least " if top < n or cut < n // order else ""
+        bound = "at least " if cut else ""
         raise ValueError(f"strata for n = {n} list {bound}{count} vectors and "
                          f"labels, more than the budget of {STRATA_BUDGET}")
-
-
-def _label_sort_key(label: StratumLabel) -> tuple:
-    return (-sum(label.lam), label.lam)
 
 
 def enumerate_strata_rank1(n: int, cd: CartanData) -> list[StratumLabel]:
@@ -148,16 +125,9 @@ def enumerate_strata_rank1(n: int, cd: CartanData) -> list[StratumLabel]:
     partition size descending, then lexicographically."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    order = cd.group_order
-    _check_budget(n, (), order)
-    zero = tuple([0] * cd.vertex_count)
-    labels = []
-    for m in range(n // order, -1, -1):
-        for lam in partitions(m):
-            labels.append(StratumLabel(v0=zero, lam=lam,
-                                       residual=n - order * m))
-    labels.sort(key=_label_sort_key)
-    return labels
+    zero = (0,) * cd.vertex_count
+    w = tuple(int(i == cd.trivial_vertex) for i in range(cd.vertex_count))
+    return _list_strata(n, [zero], w, cd)
 
 
 def cartan_apply(cd: CartanData, v) -> tuple[int, ...]:
@@ -190,9 +160,17 @@ def fiber_parts(v, w, v0, lam, cd: CartanData) -> FiberLabel:
     )
 
 
-def _bounded_vectors(weights: tuple[int, ...], budget: int) -> list[tuple[int, ...]]:
-    """Nonnegative vectors v with sum(v_i * weights_i) <= budget, in
-    lexicographic order."""
+def _bounded_vectors(weights: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """Nonnegative vectors v with sum(v_i * weights_i) <= n, in
+    lexicographic order.  Refused before anything is allocated when
+    their coin-change count, over sums cut at the budget (which only
+    lowers it), is above STRATA_BUDGET."""
+    top = min(n, STRATA_BUDGET)
+    ways = [1] + [0] * top
+    for d in weights:
+        for u in range(d, top + 1):
+            ways[u] += ways[u - d]
+    _refuse_over_budget(n, sum(ways), top < n)
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: tuple[int, ...], remaining: int, pos: int) -> None:
@@ -202,8 +180,39 @@ def _bounded_vectors(weights: tuple[int, ...], budget: int) -> list[tuple[int, .
         for value in range(remaining // weights[pos] + 1):
             rec(prefix + (value,), remaining - value * weights[pos], pos + 1)
 
-    rec((), budget, 0)
+    rec((), n, 0)
     return out
+
+
+def _list_strata(n: int, v0s: list[tuple[int, ...]], w: tuple[int, ...],
+                 cd: CartanData) -> list[StratumLabel]:
+    """The labels of every v0 in v0s that passes the transported-framing
+    filter.  Refused first when the v0 vectors plus those labels are more
+    than STRATA_BUDGET: each v0 brings one label per partition of every
+    m <= (n - sum(v0_i delta_i)) // |Gamma|.  Cutting m at _PARTITION_CUT
+    only lowers the count, and a cut count is already over the budget."""
+    order = cd.group_order
+    kept = [(v0, sum(a * d for a, d in zip(v0, cd.delta))) for v0 in v0s
+            if transported_framing(w, v0, cd) is not None]
+    cut = min(n // order, _PARTITION_CUT)
+    p = [1] + [0] * cut
+    for part in range(1, cut + 1):
+        for m in range(part, cut + 1):
+            p[m] += p[m - part]
+    labels_up_to = list(itertools.accumulate(p))
+    count = len(v0s) + sum(labels_up_to[min((n - used) // order, cut)]
+                           for _, used in kept)
+    _refuse_over_budget(n, count, cut < n // order)
+    labels = []
+    for v0, used in kept:
+        for m in range((n - used) // order, -1, -1):
+            for lam in partitions(m):
+                labels.append(StratumLabel(v0=v0, lam=lam,
+                                           residual=n - used - order * m,
+                                           candidate=any(v0)))
+    labels.sort(key=lambda s: (sum(a * d for a, d in zip(s.v0, cd.delta)), s.v0,
+                               -sum(s.lam), s.lam))
+    return labels
 
 
 def enumerate_strata(n: int, w, cd: CartanData) -> list[StratumLabel]:
@@ -221,21 +230,4 @@ def enumerate_strata(n: int, w, cd: CartanData) -> list[StratumLabel]:
                    for i in range(cd.vertex_count))
     if rank_one:
         return enumerate_strata_rank1(n, cd)
-    order = cd.group_order
-    _check_budget(n, cd.delta, order)
-    labels = []
-    for v0 in _bounded_vectors(cd.delta, n):
-        if transported_framing(w, v0, cd) is None:
-            continue
-        used = sum(a * d for a, d in zip(v0, cd.delta))
-        sub = []
-        for m in range((n - used) // order, -1, -1):
-            for lam in partitions(m):
-                sub.append(StratumLabel(v0=v0, lam=lam,
-                                        residual=n - used - order * m,
-                                        candidate=any(v0)))
-        sub.sort(key=_label_sort_key)
-        labels.extend(sub)
-    labels.sort(key=lambda s: (sum(a * d for a, d in zip(s.v0, cd.delta)), s.v0,
-                               _label_sort_key(s)))
-    return labels
+    return _list_strata(n, _bounded_vectors(cd.delta, n), w, cd)

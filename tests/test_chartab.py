@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mckay.chartab import CharacterTable, inner_product
+from mckay.chartab import CharacterSolverError, CharacterTable, inner_product
 from mckay.cyclotomic import CycNumber
 from mckay.groups import defining_character
 
@@ -116,3 +116,11 @@ def test_table_json_round_trip():
     _, table, _ = pipeline("binary-tetrahedral")
     again = CharacterTable.from_json_obj(table.to_json_obj())
     assert again == table
+
+
+def test_table_json_without_a_trivial_first_row_is_refused():
+    _, table, _ = pipeline("binary-tetrahedral")
+    obj = table.to_json_obj()
+    obj["values"] = obj["values"][1:] + obj["values"][:1]
+    with pytest.raises(CharacterSolverError, match="trivial character row"):
+        CharacterTable.from_json_obj(obj)

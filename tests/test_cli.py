@@ -231,6 +231,41 @@ def test_corrupt_cache_entries_are_recomputed(capsys):
                                 "payload": {}}))
     code, out3, _ = invoke(capsys, "dimg", "cyclic:3")
     assert code == 0 and out3 == out1
+    path.write_text("[1]")
+    code, out4, _ = invoke(capsys, "dimg", "cyclic:3")
+    assert code == 0 and out4 == out1
+
+
+def _empty_payload(payload):
+    payload.clear()
+
+
+def _wrong_type_and_delta(payload):
+    payload["cartan"]["ade_type"] = "A~5"
+    payload["cartan"]["delta"] = [1, 1, 2]
+
+
+def _payload_of_another_spec(payload):
+    from mckay.cli import _build_payload
+    from mckay.groups import GroupSpec
+    payload.update(_build_payload(GroupSpec.parse("cyclic:2")))
+
+
+@pytest.mark.parametrize("damage", [_empty_payload, _wrong_type_and_delta,
+                                    _payload_of_another_spec])
+def test_cache_entries_that_fail_verification_are_recomputed(capsys, damage):
+    code, fresh, _ = invoke(capsys, "dimg", "cyclic:3", "--no-cache")
+    assert code == 0
+    code, _, _ = invoke(capsys, "dimg", "cyclic:3")
+    assert code == 0
+    path = cache.entry_path("cyclic:3")
+    good = path.read_text()
+    entry = json.loads(good)
+    damage(entry["payload"])
+    path.write_text(json.dumps(entry))
+    code, out, err = invoke(capsys, "dimg", "cyclic:3")
+    assert code == 0 and out == fresh and err == ""
+    assert path.read_text() == good
 
 
 def test_unusable_cache_directory_warns_and_computes(capsys, tmp_path,

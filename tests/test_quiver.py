@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +15,8 @@ ALL_SPECS = ["cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6",
              "cyclic:7", "cyclic:8",
              "binary-dihedral:2", "binary-dihedral:3", "binary-dihedral:4",
              "binary-dihedral:5", "binary-dihedral:6",
-             "binary-tetrahedral", "binary-octahedral", "binary-icosahedral"]
+             "binary-tetrahedral", "binary-octahedral", "binary-icosahedral",
+             "cyclic:24"]
 
 
 def test_reference_diagrams_have_delta_in_the_kernel():
@@ -103,6 +105,69 @@ def test_classify_rejects_non_ade_graphs():
         classify_ade(disconnected, (1, 1, 1, 1))
 
 
+def _relabelled(ade_type, rng):
+    """The reference diagram with its vertices shuffled: reference
+    vertex k becomes vertex new[k]."""
+    ref_adj, ref_delta = reference_affine(ade_type)
+    n = len(ref_adj)
+    new = rng.sample(range(n), n)
+    adj = [[0] * n for _ in range(n)]
+    delta = [0] * n
+    for k in range(n):
+        delta[new[k]] = ref_delta[k]
+        for j in range(n):
+            adj[new[k]][new[j]] = ref_adj[k][j]
+    return tuple(map(tuple, adj)), tuple(delta), new
+
+
+def test_classify_a_relabelled_41_cycle_with_a_root():
+    adj, delta, new = _relabelled("A~40", random.Random(40))
+    root = new[17]
+    ade, lab = classify_ade(adj, delta, root_vertex=root)
+    assert ade == "A~40" and lab[root] == 0
+    assert sorted(lab) == list(range(41))
+    cycle = [new[k] for k in range(41)]
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        assert (lab[u] - lab[v]) % 41 in (1, 40)
+
+
+def test_classify_a_relabelled_d32_with_a_root():
+    adj, delta, new = _relabelled("D~32", random.Random(32))
+    ref_adj, ref_delta = reference_affine("D~32")
+    root = new[32]  # a delta = 1 leaf at the far end
+    ade, lab = classify_ade(adj, delta, root_vertex=root)
+    assert ade == "D~32" and lab[root] == 0
+    assert sorted(lab) == list(range(33))
+    for i in range(33):
+        assert delta[i] == ref_delta[lab[i]]
+        for j in range(33):
+            assert adj[i][j] == ref_adj[lab[i]][lab[j]]
+
+
+@pytest.mark.parametrize("ade_type", ["A~1", "A~2", "A~3", "A~4", "A~5",
+                                      "A~6", "D~4", "D~5", "D~6", "E~6"])
+def test_classify_returns_the_least_isomorphism(ade_type):
+    # the smallest delta-preserving bijection found by trying them all
+    ref_adj, ref_delta = reference_affine(ade_type)
+    n = len(ref_adj)
+    rng = random.Random(ade_type)
+    for _ in range(3):
+        adj, delta, _ = _relabelled(ade_type, rng)
+        for root in (None, rng.randrange(n)):
+            least = min((p for p in itertools.permutations(range(n))
+                         if (root is None or p[root] == 0)
+                         and all(delta[i] == ref_delta[p[i]] for i in range(n))
+                         and all(adj[i][j] == ref_adj[p[i]][p[j]]
+                                 for i in range(n) for j in range(n))),
+                        default=None)
+            if least is None:
+                with pytest.raises(ClassificationError):
+                    classify_ade(adj, delta, root_vertex=root)
+            else:
+                assert classify_ade(adj, delta, root_vertex=root) == \
+                    (ade_type, least)
+
+
 def _permutation_equal(a, b):
     n = len(a)
     for perm in itertools.permutations(range(n)):
@@ -165,3 +230,17 @@ def test_dot_output_shape():
 def test_cartan_data_json_round_trip():
     _, _, cd = pipeline("binary-tetrahedral")
     assert CartanData.from_json_obj(cd.to_json_obj()) == cd
+
+
+@pytest.mark.parametrize("key,value", [
+    ("ade_type", "A~6"),
+    ("standard_labeling", [0, 2, 1, 3, 4, 5, 6]),
+    ("cartan", [[2] * 7] * 7),
+    ("delta", [1, 1, 1, 1, 1, 1, 1]),
+])
+def test_cartan_data_from_json_rejects_data_that_do_not_verify(key, value):
+    _, _, cd = pipeline("binary-tetrahedral")
+    obj = cd.to_json_obj()
+    obj[key] = value
+    with pytest.raises(InvariantError):
+        CartanData.from_json_obj(obj)

@@ -171,9 +171,12 @@ def test_strata_over_the_budget_are_refused():
         enumerate_strata_rank1(120, cd)
     with pytest.raises(ValueError, match="6639350 vectors and labels"):
         enumerate_strata(120, (1, 0), cd)
-    # 1596 v0 of weight <= 55 before the framing filter, with their labels
-    with pytest.raises(ValueError, match="1110811 vectors and labels"):
-        enumerate_strata(55, (2, 1), cd)
+    # the budget counts the labels of the 56 v0 that pass the framing
+    # filter, not those of all 1596 v0 of weight <= 55
+    assert len(enumerate_strata(55, (2, 1), cd)) == 135730
+    # 2850 v0 of weight <= 74 plus 1156360 labels of the 75 that pass
+    with pytest.raises(ValueError, match="1159210 vectors and labels"):
+        enumerate_strata(74, (2, 1), cd)
     with pytest.raises(ValueError, match="at least"):
         enumerate_strata(10 ** 7, (2, 1), cd)
 
