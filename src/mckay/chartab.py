@@ -6,21 +6,24 @@ class matrices over a prime field F_p with p = 1 mod exponent, read off
 central characters and degrees there, and lift each character value to
 an exact cyclotomic number through the discrete-log correspondence
 between F_p roots of unity and powers of zeta_exponent.  There is no
-floating point anywhere; orthogonality is verified exactly before the
-table is returned.
+floating point anywhere.  Every table, whether built here or read back
+from JSON, has its rows proved orthonormal by `pairings`, which
+certifies integer character pairings in a second prime field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
 from .cyclotomic import CycNumber
 from .errors import InternalError
 from .groups import FiniteSubgroup, GroupSpec, defining_character
 
-__all__ = ["CharacterTable", "CharacterSolverError", "character_table", "inner_product"]
+__all__ = ["CharacterTable", "CharacterSolverError", "character_table", "inner_product",
+           "pairings"]
 
 
 class CharacterSolverError(InternalError):
@@ -47,6 +50,13 @@ class CharacterTable:
         one = CycNumber.coerce(1)
         if self.trivial_index != 0 or any(v != one for v in self.values[0]):
             raise CharacterSolverError("trivial character row is missing")
+        # rows only: for a square table X, X D X* = |G| I already gives
+        # the column relations X* X = |G| D^-1 (at the identity class,
+        # sum d^2 = |G|)
+        r = self.n_classes
+        if pairings(self, self.values[0]) != tuple(
+                tuple(int(i == j) for j in range(r)) for i in range(r)):
+            raise CharacterSolverError("character rows are not orthonormal")
 
     @property
     def n_classes(self) -> int:
@@ -68,6 +78,11 @@ class CharacterTable:
 
     @staticmethod
     def from_json_obj(obj: dict) -> CharacterTable:
+        if (any(type(x) is not int or x < 1
+                for x in (*obj["degrees"], *obj["class_sizes"]))
+                or type(obj["trivial_index"]) is not int):
+            raise ValueError("degrees and class sizes must be positive JSON "
+                             "integers, and the trivial index an integer")
         return CharacterTable(
             group_spec=GroupSpec.parse(obj["spec"]),
             degrees=tuple(obj["degrees"]),
@@ -91,6 +106,56 @@ def inner_product(chi, psi, group: FiniteSubgroup) -> CycNumber:
     return total * Fraction(1, group.order)
 
 
+def pairings(table: CharacterTable, chi) -> tuple[tuple[int, ...], ...]:
+    """The integer matrix a_ij = (1/|G|) sum_c |C_c| chi(c) chi_i(c)
+    conj(chi_j(c)), every entry proved exact; chi(c) = 1 gives the row
+    inner products, the defining character the McKay multiplicities.
+
+    Proof.  Each value x must have integer canonical coefficients, so it
+    lies in Z[zeta_e], e the lcm of the conductors, and |s(x)| <= L1(x),
+    the sum of the |coefficients|, under every complex embedding s (each
+    basis element is a root of unity).  Let B = L1(chi) L^2, with L1(chi)
+    and L the largest L1 of a value of chi and of the table; as class
+    sizes are positive, |s(sum)| <= |G|B.  Let P = 1 (mod e) be the
+    smallest prime above 2|G|B.  P splits completely in Q(zeta_e): the
+    phi(e) maps zeta_e -> w, w a primitive e-th root in F_P, are the
+    reductions modulo the primes above P, and conjugation is the map at
+    w^-1.  a_ij is the residue of sum/|G|, required to be one value in
+    [0, B] under every map.  Then y = sum - |G| a_ij lies in every prime
+    above P, so P^phi(e) divides its norm, while |s(y)| <= 2|G|B < P
+    under every s; hence N(y) = 0 and y = 0.
+    """
+    values = (tuple(map(CycNumber.coerce, chi)), *table.values)
+    r = table.n_classes
+    if len(values) != r + 1 or any(len(row) != r for row in values):
+        raise ValueError("class function length does not match the class count")
+    if any(c.denominator != 1 for row in values for v in row for _, c in v.terms):
+        raise CharacterSolverError("a character value has a non-integer coefficient")
+    l1 = [max(sum(abs(c.numerator) for _, c in v.terms) for v in row)
+          for row in values]
+    bound = l1[0] * max(l1[1:]) ** 2
+    order = table.group_order
+    e = lcm(*(v.conductor for row in values for v in row))
+    p = _dixon_prime(2 * order * bound, e)
+    zeta = pow(_primitive_root(p), (p - 1) // e, p)
+    powers = [pow(zeta, t, p) for t in range(e)]
+    images = {k: [[sum(c.numerator * powers[t * k * (e // v.conductor) % e]
+                       for t, c in v.terms) % p for v in row] for row in values]
+              for k in range(e) if gcd(k, e) == 1}
+    inv_order = pow(order, -1, p)
+    residues = set()
+    for k, (weights, *rows) in images.items():
+        weights = [s * x * inv_order % p for s, x in zip(table.class_sizes, weights)]
+        weighted = [[w * x % p for w, x in zip(weights, row)] for row in rows]
+        residues.add(tuple(tuple(sum(map(mul, row_i, row_j)) % p
+                                 for row_j in images[-k % e][1:])
+                           for row_i in weighted))
+    matrix = residues.pop()
+    if residues or any(a > bound for row in matrix for a in row):
+        raise CharacterSolverError("a character pairing is not an integer in [0, B]")
+    return matrix
+
+
 # -- prime field helpers (tiny dense linear algebra mod p) -------------
 
 def _is_prime(n: int) -> bool:
@@ -106,12 +171,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _dixon_prime(order: int, exponent: int) -> int:
-    """Smallest prime p = 1 (mod exponent) above the 2*|G|^(3/2) margin."""
-    threshold = 2 * isqrt(order ** 3)
-    p = exponent + 1
+def _dixon_prime(threshold: int, modulus: int) -> int:
+    """Smallest prime p = 1 (mod modulus) above threshold."""
+    p = threshold // modulus * modulus + 1
     while p <= threshold or not _is_prime(p):
-        p += exponent
+        p += modulus
     return p
 
 
@@ -196,14 +260,6 @@ def _poly_roots(coeffs: list[int], p: int) -> list[int]:
         if acc == 0:
             roots.append(x)
     return roots
-
-
-def _sqrt_mod(a: int, p: int) -> int | None:
-    a %= p
-    for x in range(p):
-        if x * x % p == a:
-            return x
-    return None
 
 
 # -- the Dixon solve ---------------------------------------------------
@@ -296,34 +352,11 @@ def _lift_row(group: FiniteSubgroup, chi_fp: list[int], degree: int,
     return values
 
 
-def _verify_orthogonality(table: CharacterTable) -> None:
-    rows = table.values
-    sizes = table.class_sizes
-    order = table.group_order
-    r = len(rows)
-    for i in range(r):
-        for j in range(i, r):
-            acc = CycNumber.coerce(0)
-            for c in range(r):
-                acc = acc + rows[i][c] * rows[j][c].conj() * sizes[c]
-            expected = order if i == j else 0
-            if acc != expected:
-                raise CharacterSolverError(f"row orthogonality fails at ({i},{j})")
-    for c in range(r):
-        for c2 in range(c, r):
-            acc = CycNumber.coerce(0)
-            for i in range(r):
-                acc = acc + rows[i][c] * rows[i][c2].conj()
-            expected = Fraction(order, sizes[c]) if c == c2 else Fraction(0)
-            if acc != expected:
-                raise CharacterSolverError(f"column orthogonality fails at ({c},{c2})")
-
-
 def character_table(group: FiniteSubgroup) -> CharacterTable:
     r = len(group.classes)
     order = group.order
     e = group.exponent
-    p = _dixon_prime(order, e)
+    p = _dixon_prime(2 * isqrt(order ** 3), e)
 
     constants = _class_constants(group)
     lines = _common_eigenlines(constants, p, r)
@@ -355,23 +388,21 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
         if norm == 0:
             raise CharacterSolverError("degenerate central character norm")
         degree_sq = order * pow(norm, -1, p) % p
-        root = _sqrt_mod(degree_sq, p)
-        if root is None:
-            raise CharacterSolverError("degree squared is not a square mod p")
-        degree = min(root, p - root)
+        # unique: two such d sum to at most 2 sqrt|G| < p
+        degree = next((d for d in range(1, isqrt(order) + 1)
+                       if d * d % p == degree_sq), None)
+        if degree is None:
+            raise CharacterSolverError("no degree d <= sqrt|G| has d^2 = |G|/norm mod p")
         # chi(g) = d * omega(g) / |C(g)| in F_p
         chi_fp = [degree * omega[c] % p * inv_sizes[c] % p for c in range(r)]
         rows.append((degree, _lift_row(group, chi_fp, degree, power_class,
                                        zeta_fp, p)))
 
-    if sum(d * d for d, _ in rows) != order:
-        raise CharacterSolverError("degrees do not satisfy sum d^2 = |G|")
-
     one = CycNumber.coerce(1)
     rows.sort(key=lambda item: (not all(v == one for v in item[1]), item[0],
                                 tuple(v.sort_key() for v in item[1])))
 
-    table = CharacterTable(
+    return CharacterTable(
         group_spec=group.spec,
         degrees=tuple(d for d, _ in rows),
         values=tuple(tuple(vals) for _, vals in rows),
@@ -379,5 +410,3 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
         trivial_index=0,
         defining_values=defining_character(group),
     )
-    _verify_orthogonality(table)
-    return table

@@ -38,12 +38,14 @@ def _build_payload(spec: GroupSpec) -> dict:
 
 def _from_payload(spec: GroupSpec, payload: dict
                   ) -> tuple[FiniteSubgroup, CharacterTable, CartanData]:
+    """The entry's group and verified table, and the quiver of that
+    table; the stored Cartan data must equal it."""
     group = FiniteSubgroup.from_json_obj(payload["group"])
     table = CharacterTable.from_json_obj(payload["chartab"])
-    cartan = CartanData.from_json_obj(payload["cartan"])
-    if ((group.spec, table.group_spec, cartan.delta, cartan.trivial_vertex)
-            != (spec, spec, table.degrees, table.trivial_index)):
-        raise InvariantError("group, table and quiver are not of one spec")
+    cartan = mckay_quiver(table)
+    if ((group.spec, table.group_spec) != (spec, spec)
+            or CartanData.from_json_obj(payload["cartan"]) != cartan):
+        raise InvariantError("the entry's group, table and quiver do not agree")
     return group, table, cartan
 
 

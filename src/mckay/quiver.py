@@ -15,10 +15,9 @@ diagram, branch vertex carrying the fork).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .chartab import CharacterTable
+from .chartab import CharacterTable, pairings
 from .errors import InternalError, InvariantError
 from .groups import GroupSpec
 
@@ -82,6 +81,11 @@ class CartanData:
         """Rebuilt from the adjacency, delta and trivial vertex, with every
         invariant checked again; the stored Cartan matrix, type and
         labeling must equal the recomputed ones."""
+        if any(type(x) is not int for x in (
+                obj["trivial_vertex"], *obj["delta"],
+                *(a for row in obj["adjacency"] for a in row))):
+            raise ValueError("adjacency, delta and the trivial vertex must be "
+                             "JSON integers")
         cd = _verified_cartan_data(tuple(tuple(r) for r in obj["adjacency"]),
                                    tuple(obj["delta"]), obj["trivial_vertex"])
         if cd.to_json_obj() != obj:
@@ -251,24 +255,9 @@ def _delete_vertex(matrix: Matrix, vertex: int) -> Matrix:
 
 def mckay_quiver(table: CharacterTable) -> CartanData:
     """Adjacency a_ij = multiplicity of character j in (defining * i)."""
-    r = table.n_classes
-    order = table.group_order
-    if order < 2:
+    if table.group_order < 2:
         raise ValueError("the catalog starts at groups of order 2")
-    chi_q = table.defining_values
-    adjacency = [[0] * r for _ in range(r)]
-    for i in range(r):
-        product = tuple(chi_q[c] * table.values[i][c] for c in range(r))
-        for j in range(r):
-            acc = 0
-            for c in range(r):
-                acc = product[c] * table.values[j][c].conj() * table.class_sizes[c] + acc
-            acc = acc * Fraction(1, order)
-            if not acc.is_integer() or acc.rational_value() < 0:
-                raise InvariantError(f"multiplicity a[{i}][{j}] = {acc} is not a "
-                                     "nonnegative integer")
-            adjacency[i][j] = int(acc.rational_value())
-    return _verified_cartan_data(tuple(tuple(row) for row in adjacency),
+    return _verified_cartan_data(pairings(table, table.defining_values),
                                  tuple(table.degrees), table.trivial_index)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvariantError
 from .quiver import CartanData, Matrix, reference_affine, reference_finite
@@ -71,7 +71,7 @@ class RootSystem:
         return vector in self._positive_set or \
             tuple(-x for x in vector) in self._positive_set
 
-    @property
+    @cached_property
     def _positive_set(self) -> frozenset:
         return frozenset(self.positive)
 

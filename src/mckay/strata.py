@@ -163,13 +163,19 @@ def fiber_parts(v, w, v0, lam, cd: CartanData) -> FiberLabel:
 def _bounded_vectors(weights: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """Nonnegative vectors v with sum(v_i * weights_i) <= n, in
     lexicographic order.  Refused before anything is allocated when
-    their coin-change count, over sums cut at the budget (which only
-    lowers it), is above STRATA_BUDGET."""
-    top = min(n, STRATA_BUDGET)
-    ways = [1] + [0] * top
-    for d in weights:
-        for u in range(d, top + 1):
-            ways[u] += ways[u - d]
+    their coin-change count is above STRATA_BUDGET.  The count runs over
+    sums cut at 1, 2, 4, ... and stops at n or at the first cut whose
+    count, which only lowers the full one, is over the budget."""
+    top = 1
+    while True:
+        top = min(top, n)
+        ways = [1] + [0] * top
+        for d in weights:
+            for u in range(d, top + 1):
+                ways[u] += ways[u - d]
+        if top == n or sum(ways) > STRATA_BUDGET:
+            break
+        top *= 2
     _refuse_over_budget(n, sum(ways), top < n)
     out: list[tuple[int, ...]] = []
 

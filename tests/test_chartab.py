@@ -1,9 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from mckay.chartab import CharacterSolverError, CharacterTable, inner_product
-from mckay.cyclotomic import CycNumber
+from mckay.chartab import CharacterSolverError, CharacterTable, inner_product, pairings
+from mckay.cyclotomic import CycNumber, root_of_unity
 from mckay.groups import defining_character
 
 from conftest import pipeline
@@ -54,6 +55,46 @@ def test_column_orthogonality_exact(text):
             expected = Fraction(table.group_order, table.class_sizes[c1]) \
                 if c1 == c2 else 0
             assert acc == expected
+
+
+@pytest.mark.parametrize("text", ALL_SPECS)
+def test_pairings_agree_with_inner_product(text):
+    group, table, _ = pipeline(text)
+    for chi in (table.values[0], table.defining_values):
+        products = [tuple(a * b for a, b in zip(chi, row)) for row in table.values]
+        assert pairings(table, chi) == tuple(
+            tuple(inner_product(product, row, group) for row in table.values)
+            for product in products)
+
+
+@pytest.mark.parametrize("text,root", [("cyclic:2", 2), ("cyclic:5", 5),
+                                       ("binary-dihedral:3", 3),
+                                       ("binary-icosahedral", 3)])
+def test_a_value_times_a_root_of_unity_is_refused(text, root):
+    _, table, _ = pipeline(text)
+    values = [list(row) for row in table.values]
+    i, c = next((i, c) for i in range(1, len(values))
+                for c in range(1, len(values)) if values[i][c])
+    values[i][c] = values[i][c] * root_of_unity(root)
+    with pytest.raises(CharacterSolverError,
+                       match="not orthonormal|not an integer"):
+        dataclasses.replace(table, values=tuple(map(tuple, values)))
+
+
+def test_a_value_with_a_non_integer_coefficient_is_refused():
+    _, table, _ = pipeline("binary-tetrahedral")
+    # half the trivial character pairs to I/2, which is not an integer matrix
+    with pytest.raises(CharacterSolverError, match="non-integer coefficient"):
+        pairings(table, (Fraction(1, 2),) * table.n_classes)
+
+
+def test_pairings_outside_the_certified_range_are_refused():
+    _, table, _ = pipeline("cyclic:3")
+    # -1 has residue P - 1 > B; 74 - 2 zeta_3 has residues 149 and 1 under
+    # the two maps to F_5479, both in [0, B] with B = 912
+    for x in (CycNumber.coerce(-1), 74 - 2 * root_of_unity(3)):
+        with pytest.raises(CharacterSolverError, match="not an integer in"):
+            pairings(table, (3 * x, 0, 0))
 
 
 def test_trivial_row_first_and_degree_sorted():

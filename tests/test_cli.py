@@ -251,21 +251,72 @@ def _payload_of_another_spec(payload):
     payload.update(_build_payload(GroupSpec.parse("cyclic:2")))
 
 
-@pytest.mark.parametrize("damage", [_empty_payload, _wrong_type_and_delta,
-                                    _payload_of_another_spec])
-def test_cache_entries_that_fail_verification_are_recomputed(capsys, damage):
-    code, fresh, _ = invoke(capsys, "dimg", "cyclic:3", "--no-cache")
+def _assert_damaged_entry_is_recomputed(capsys, command, spec, damage):
+    code, fresh, _ = invoke(capsys, command, spec, "--no-cache")
     assert code == 0
-    code, _, _ = invoke(capsys, "dimg", "cyclic:3")
+    code, _, _ = invoke(capsys, command, spec)
     assert code == 0
-    path = cache.entry_path("cyclic:3")
+    path = cache.entry_path(spec)
     good = path.read_text()
     entry = json.loads(good)
     damage(entry["payload"])
     path.write_text(json.dumps(entry))
-    code, out, err = invoke(capsys, "dimg", "cyclic:3")
+    code, out, err = invoke(capsys, command, spec)
     assert code == 0 and out == fresh and err == ""
     assert path.read_text() == good
+
+
+@pytest.mark.parametrize("damage", [_empty_payload, _wrong_type_and_delta,
+                                    _payload_of_another_spec])
+def test_cache_entries_that_fail_verification_are_recomputed(capsys, damage):
+    _assert_damaged_entry_is_recomputed(capsys, "dimg", "cyclic:3", damage)
+
+
+def _reattached_leaves(payload):
+    """Swap two leaves of D~5 between its branch vertices: the Cartan
+    data stay self-consistent, but are not the quiver of the table."""
+    from mckay.quiver import _verified_cartan_data
+    cartan = payload["cartan"]
+    adj = cartan["adjacency"]
+    leaves = [v for v, d in enumerate(cartan["delta"]) if d == 1]
+    a, b = next((a, b) for a in leaves for b in leaves if adj[a] != adj[b])
+    na, nb = adj[a].index(1), adj[b].index(1)
+    for leaf, old, new in ((a, na, nb), (b, nb, na)):
+        adj[leaf][old] = adj[old][leaf] = 0
+        adj[leaf][new] = adj[new][leaf] = 1
+    payload["cartan"] = _verified_cartan_data(
+        tuple(map(tuple, adj)), tuple(cartan["delta"]),
+        cartan["trivial_vertex"]).to_json_obj()
+
+
+def _value_times_zeta3(payload):
+    from mckay.cyclotomic import CycNumber, root_of_unity
+    values = payload["chartab"]["values"]
+    i, c = next((i, c) for i in range(1, len(values))
+                for c in range(1, len(values)) if values[i][c]["terms"])
+    values[i][c] = (CycNumber.from_json_obj(values[i][c])
+                    * root_of_unity(3)).to_json_obj()
+
+
+def _true_for_one_in_delta(payload):
+    payload["cartan"]["delta"] = [True if d == 1 else d
+                                  for d in payload["cartan"]["delta"]]
+
+
+def _true_for_one_in_degrees(payload):
+    payload["chartab"]["degrees"] = [True if d == 1 else d
+                                     for d in payload["chartab"]["degrees"]]
+
+
+@pytest.mark.parametrize("spec,damage", [
+    ("binary-dihedral:3", _reattached_leaves),
+    ("binary-dihedral:3", _value_times_zeta3),
+    ("cyclic:2", _true_for_one_in_delta),
+    ("cyclic:2", _true_for_one_in_degrees),
+])
+def test_cache_entries_that_disagree_with_their_table_are_recomputed(
+        capsys, spec, damage):
+    _assert_damaged_entry_is_recomputed(capsys, "quiver", spec, damage)
 
 
 def test_unusable_cache_directory_warns_and_computes(capsys, tmp_path,

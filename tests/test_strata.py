@@ -179,6 +179,11 @@ def test_strata_over_the_budget_are_refused():
         enumerate_strata(74, (2, 1), cd)
     with pytest.raises(ValueError, match="at least"):
         enumerate_strata(10 ** 7, (2, 1), cd)
+    # the coin-change count stops at the first doubled cut over the
+    # budget: the 30421755 vectors of weight <= 16
+    _, _, cd12 = pipeline("cyclic:12")
+    with pytest.raises(ValueError, match="at least 30421755 vectors"):
+        enumerate_strata(10 ** 6, (2,) + (0,) * 11, cd12)
 
 
 def test_enumerate_strata_zero_points():
