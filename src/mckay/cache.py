@@ -1,6 +1,6 @@
-"""On-disk cache of computed group/table/Cartan bundles.
+"""On-disk cache of computed groups and character tables.
 
-One JSON file per group spec under the cache directory (the
+One compact JSON file per group spec under the cache directory (the
 MCKAY_CACHE environment variable, or a per-user cache directory).
 Entries are {format_version, key, payload}; a stale format version or
 mismatched key is treated as a miss.  Writes are atomic.
@@ -13,7 +13,7 @@ import os
 import tempfile
 from pathlib import Path
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 __all__ = ["FORMAT_VERSION", "cache_dir", "entry_path", "load", "store"]
 
@@ -52,7 +52,7 @@ def store(key: str, payload: dict) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(entry, handle, indent=2)
+            handle.write(json.dumps(entry, separators=(",", ":")))
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -33,7 +33,8 @@ class CharacterSolverError(InternalError):
 @dataclass(frozen=True)
 class CharacterTable:
     """Irreducible characters, rows sorted with the trivial character
-    first and then by (degree, lexicographic values).
+    first and then by (degree, lexicographic values); the constructor
+    refuses any other order.
 
     defining_values carries the trace of the defining 2-dimensional
     representation on each class; the McKay quiver is built from it.
@@ -57,6 +58,9 @@ class CharacterTable:
         if pairings(self, self.values[0]) != tuple(
                 tuple(int(i == j) for j in range(r)) for i in range(r)):
             raise CharacterSolverError("character rows are not orthonormal")
+        keys = [_row_key(d, row) for d, row in zip(self.degrees, self.values)]
+        if len(self.degrees) != r or any(a >= b for a, b in zip(keys, keys[1:])):
+            raise CharacterSolverError("character rows are not in canonical order")
 
     @property
     def n_classes(self) -> int:
@@ -93,6 +97,12 @@ class CharacterTable:
             defining_values=tuple(CycNumber.from_json_obj(v)
                                   for v in obj["defining_values"]),
         )
+
+
+def _row_key(degree: int, row) -> tuple:
+    """Canonical row order: the trivial character, then (degree, values)."""
+    one = CycNumber.coerce(1)
+    return (not all(v == one for v in row), degree, tuple(v.sort_key() for v in row))
 
 
 def inner_product(chi, psi, group: FiniteSubgroup) -> CycNumber:
@@ -398,9 +408,7 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
         rows.append((degree, _lift_row(group, chi_fp, degree, power_class,
                                        zeta_fp, p)))
 
-    one = CycNumber.coerce(1)
-    rows.sort(key=lambda item: (not all(v == one for v in item[1]), item[0],
-                                tuple(v.sort_key() for v in item[1])))
+    rows.sort(key=lambda item: _row_key(*item))
 
     return CharacterTable(
         group_spec=group.spec,

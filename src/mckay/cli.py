@@ -19,7 +19,7 @@ from . import cache
 from .chartab import CharacterTable, character_table
 from .cyclotomic import CycNumber, root_of_unity
 from .errors import InternalError, InvariantError
-from .groups import FiniteSubgroup, GroupSpec, build_group
+from .groups import FiniteSubgroup, GroupSpec, build_group, defining_character
 from .highest_weight import drinfeld_polynomials, freudenthal, weylkac_oracle
 from .quiver import CartanData, mckay_quiver, to_dot
 from .roots import reconstruct_g_dim, root_system_for
@@ -28,47 +28,36 @@ from .strata import enumerate_strata, enumerate_strata_rank1, fiber_parts
 __all__ = ["run", "main"]
 
 
-def _build_payload(spec: GroupSpec) -> dict:
-    group = build_group(spec)
-    table = character_table(group)
-    cartan = mckay_quiver(table)
-    return {"group": group.to_json_obj(), "chartab": table.to_json_obj(),
-            "cartan": cartan.to_json_obj()}
-
-
-def _from_payload(spec: GroupSpec, payload: dict
-                  ) -> tuple[FiniteSubgroup, CharacterTable, CartanData]:
-    """The entry's group and verified table, and the quiver of that
-    table; the stored Cartan data must equal it."""
-    group = FiniteSubgroup.from_json_obj(payload["group"])
-    table = CharacterTable.from_json_obj(payload["chartab"])
-    cartan = mckay_quiver(table)
-    if ((group.spec, table.group_spec) != (spec, spec)
-            or CartanData.from_json_obj(payload["cartan"]) != cartan):
-        raise InvariantError("the entry's group, table and quiver do not agree")
-    return group, table, cartan
-
-
 def load_pipeline(spec: GroupSpec, use_cache: bool = True
                   ) -> tuple[FiniteSubgroup, CharacterTable, CartanData]:
     """Group, character table, and Cartan data for a spec, through the
-    on-disk cache unless told otherwise.  A cache entry that fails to
+    on-disk cache unless told otherwise.  The entry holds the group and
+    the table, which pass their constructors' checks and must agree; the
+    quiver is always derived from the table.  An entry that fails to
     load or to verify is recomputed and overwritten."""
     key = str(spec)
     payload = cache.load(key) if use_cache else None
     if payload is not None:
         try:
-            return _from_payload(spec, payload)
+            group = FiniteSubgroup.from_json_obj(payload["group"])
+            table = CharacterTable.from_json_obj(payload["chartab"])
+            if ((group.spec, table.group_spec) != (spec, spec)
+                    or table.class_sizes != group.class_sizes
+                    or table.defining_values != defining_character(group)):
+                raise InvariantError("the entry's group and table do not agree")
+            return group, table, mckay_quiver(table)
         except (LookupError, TypeError, ValueError, AttributeError,
                 ArithmeticError, InternalError):
             pass  # a damaged entry, or one that does not verify
-    payload = _build_payload(spec)
+    group = build_group(spec)
+    table = character_table(group)
     if use_cache:
         try:
-            cache.store(key, payload)
+            cache.store(key, {"group": group.to_json_obj(),
+                              "chartab": table.to_json_obj()})
         except OSError as exc:
             print(f"warning: cache not written: {exc}", file=sys.stderr)
-    return _from_payload(spec, payload)
+    return group, table, mckay_quiver(table)
 
 
 def _parse_int_vector(text: str, length: int, label: str) -> tuple[int, ...]:

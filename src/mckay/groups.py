@@ -230,6 +230,9 @@ class FiniteSubgroup:
     class_reps: tuple[int, ...]
     exponent: int
 
+    def __post_init__(self):
+        _validate(self)
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -265,11 +268,12 @@ class FiniteSubgroup:
 
     @staticmethod
     def from_json_obj(obj: dict) -> FiniteSubgroup:
+        if any(type(x) is not int for x in (
+                obj["order"], obj["identity"], obj["exponent"],
+                *itertools.chain(*obj["mult_table"], *obj["classes"]),
+                *obj["inverses"], *obj["element_orders"], *obj["class_reps"])):
+            raise ValueError("group indices, orders and exponent must be JSON integers")
         classes = tuple(tuple(c) for c in obj["classes"])
-        class_of = [0] * obj["order"]
-        for ci, members in enumerate(classes):
-            for m in members:
-                class_of[m] = ci
         return FiniteSubgroup(
             spec=GroupSpec.parse(obj["spec"]),
             elements=tuple(GroupElement.from_json_obj(e) for e in obj["elements"]),
@@ -278,25 +282,27 @@ class FiniteSubgroup:
             inverse_of=tuple(obj["inverses"]),
             element_orders=tuple(obj["element_orders"]),
             classes=classes,
-            class_of=tuple(class_of),
+            class_of=_class_index(classes, obj["order"]),
             class_reps=tuple(obj["class_reps"]),
             exponent=obj["exponent"],
         )
 
 
-def _close_under_multiplication(
-        gens: list[GroupElement]) -> tuple[list[GroupElement], list[tuple[int, int]]]:
-    """BFS closure.  Also records how each element was first reached:
+def _close_under_multiplication(gens: list[GroupElement]) -> tuple[list, list, list]:
+    """BFS closure.  Also records how each element was first reached,
     parents[i] = (parent index, generator position) with
-    elements[i] = elements[parent] * gens[position]."""
+    elements[i] = elements[parent] * gens[position], and every right
+    translation, right[i][position] = index of elements[i] * gens[position]."""
     elements = [IDENTITY]
     index = {IDENTITY: 0}
     parents = [(0, -1)]
+    right = []
     frontier = [0]
     while frontier:
         fresh = []
-        for gi in frontier:
+        for gi in frontier:  # in index order, so right[gi] lines up
             g = elements[gi]
+            targets = []
             for pos, h in enumerate(gens):
                 prod = g * h
                 if prod not in index:
@@ -311,32 +317,24 @@ def _close_under_multiplication(
                         raise GroupConstructionError(
                             f"closure exceeded {CLOSURE_BOUND} elements; "
                             "generators are wrong")
+                targets.append(index[prod])
+            right.append(targets)
         frontier = fresh
-    return elements, parents
+    return elements, parents, right
 
 
-def _full_table(elements: list[GroupElement], gens: list[GroupElement],
-                parents: list[tuple[int, int]]) -> list[list[int]]:
-    """Multiplication table via left-translation permutations.
-
-    Only O(|G| * #generators) exact matrix products are needed: writing
-    g = parent * gen gives L_g = L_parent . L_gen on indices, so rows
-    are built by permutation composition in discovery order.
-    """
-    n = len(elements)
-    index = {g: i for i, g in enumerate(elements)}
-    gen_rows = [[index[h * x] for x in elements] for h in gens]
-    left: list[list[int] | None] = [None] * n
-    left[0] = list(range(n))
-    for i in range(1, n):
-        parent, pos = parents[i]
-        parent_row = left[parent]
-        gen_row = gen_rows[pos]
-        left[i] = [parent_row[gen_row[x]] for x in range(n)]
-    return left
+def _full_table(parents, right) -> list[list[int]]:
+    """Multiplication table from the closure's right translations, with
+    no further matrix products: writing e_j = e_parent * gen gives
+    e_i e_j = (e_i e_parent) gen, so each column is its parent's column
+    translated by gen, built in discovery order."""
+    columns = [list(range(len(parents)))]
+    for parent, pos in parents[1:]:
+        columns.append([right[x][pos] for x in columns[parent]])
+    return [list(row) for row in zip(*columns)]
 
 
-def _element_order(table: list[list[int]], identity: int, i: int) -> int:
+def _element_order(table, identity: int, i: int) -> int:
     order, x = 1, i
     while x != identity:
         x = table[x][i]
@@ -346,96 +344,100 @@ def _element_order(table: list[list[int]], identity: int, i: int) -> int:
     return order
 
 
-def _conjugacy_partition(table: list[list[int]],
-                         inverse_of: list[int]) -> list[list[int]]:
+def _element_key(elements, orders, i: int) -> tuple:
+    """Canonical element order: identity first, then (order, serialization)."""
+    return (i != 0, orders[i], elements[i].sort_key())
+
+
+def _canonical_classes(table, inverse_of, orders, elements) -> tuple:
+    """Conjugacy classes, each sorted so that its least member is its
+    representative, in (representative order, class size, representative
+    serialization) order."""
     n = len(table)
     seen = [False] * n
     classes = []
     for x in range(n):
-        if seen[x]:
-            continue
-        orbit = set()
-        for h in range(n):
-            orbit.add(table[table[h][x]][inverse_of[h]])
-        members = sorted(orbit)
+        if not seen[x]:
+            members = sorted({table[table[h][x]][inverse_of[h]] for h in range(n)})
+            for m in members:
+                seen[m] = True
+            classes.append(tuple(members))
+    classes.sort(key=lambda c: (orders[c[0]], len(c), elements[c[0]].sort_key()))
+    return tuple(classes)
+
+
+def _class_index(classes, n: int) -> tuple[int, ...]:
+    class_of = [0] * n
+    for ci, members in enumerate(classes):
         for m in members:
-            seen[m] = True
-        classes.append(members)
-    return classes
+            class_of[m] = ci
+    return tuple(class_of)
 
 
 def _validate(group: FiniteSubgroup) -> None:
+    """Checks that every group passes, built or read back, in time
+    O(|G|^2) and without matrix products: the table is a group law with
+    the stated identity and inverses, and the elements, orders, exponent
+    and classes are the ones `build_group` derives from it."""
     table = group.mult_table
     n = group.order
     e = group.identity_index
+    if n != group.spec.order or e != 0 or group.elements[e] != IDENTITY:
+        raise GroupConstructionError(f"{group.spec}: {n} elements, expected "
+                                     f"{group.spec.order}, identity first")
+    span = set(range(n))
+    if len(table) != n or any(len(line) != n or set(line) != span
+                              for line in (*table, *zip(*table))):
+        raise GroupConstructionError("the table is not a Latin square")
     if any(table[e][j] != j or table[j][e] != j for j in range(n)):
         raise GroupConstructionError("identity row/column is wrong")
-    for i in range(n):
-        j = group.inverse_of[i]
-        if table[i][j] != e or table[j][i] != e:
-            raise GroupConstructionError("inverse map is wrong")
+    inverse_of = tuple(row.index(e) for row in table)
+    if group.inverse_of != inverse_of or any(table[j][i] != e
+                                             for i, j in enumerate(inverse_of)):
+        raise GroupConstructionError("inverse map is wrong")
     rng = random.Random(0)
     for _ in range(min(200, n ** 3)):
         a, b, c = (rng.randrange(n) for _ in range(3))
         if table[table[a][b]][c] != table[a][table[b][c]]:
             raise GroupConstructionError("associativity spot check failed")
-    if sorted(itertools.chain.from_iterable(group.classes)) != list(range(n)):
-        raise GroupConstructionError("classes do not partition the elements")
-    if group.classes[group.class_of[e]] != (e,):
-        raise GroupConstructionError("identity class is not a singleton")
+    orders = tuple(_element_order(table, e, i) for i in range(n))
+    keys = [_element_key(group.elements, orders, i) for i in range(n)]
+    if (group.element_orders != orders or group.exponent != lcm(*orders)
+            or any(a >= b for a, b in zip(keys, keys[1:]))):
+        raise GroupConstructionError("elements, orders or exponent are wrong")
+    classes = _canonical_classes(table, group.inverse_of, orders, group.elements)
+    if (group.classes != classes or group.class_of != _class_index(classes, n)
+            or group.class_reps != tuple(c[0] for c in classes)):
+        raise GroupConstructionError("classes or representatives are wrong")
 
 
 def build_group(spec: GroupSpec) -> FiniteSubgroup:
     """Enumerate the group, order it canonically, and compute its classes."""
     gens = _generators(spec)
-    elements, parents = _close_under_multiplication(gens)
-    if len(elements) != spec.order:
-        raise GroupConstructionError(
-            f"{spec}: closure has {len(elements)} elements, expected {spec.order}")
-    table = _full_table(elements, gens, parents)
-
-    orders = [_element_order(table, 0, i) for i in range(len(elements))]
-    # canonical element order: identity first, then (order, serialization)
-    perm = sorted(range(len(elements)),
-                  key=lambda i: (i != 0, orders[i], elements[i].sort_key()))
+    elements, parents, right = _close_under_multiplication(gens)
+    n = len(elements)
+    table = _full_table(parents, right)
+    orders = [_element_order(table, 0, i) for i in range(n)]
+    perm = sorted(range(n), key=lambda i: _element_key(elements, orders, i))
     where = {old: new for new, old in enumerate(perm)}
-    elements = [elements[old] for old in perm]
-    table = [[where[table[perm[i]][perm[j]]] for j in range(len(elements))]
-             for i in range(len(elements))]
-    orders = [orders[old] for old in perm]
-
-    identity = 0
-    inverse_of = [0] * len(elements)
-    for i in range(len(elements)):
-        inverse_of[i] = table[i].index(identity)
-
-    classes = _conjugacy_partition(table, inverse_of)
-    reps = [min(c) for c in classes]
-    class_order = sorted(
-        range(len(classes)),
-        key=lambda ci: (orders[reps[ci]], len(classes[ci]),
-                        elements[reps[ci]].sort_key()))
-    classes = [tuple(classes[ci]) for ci in class_order]
-    reps = [min(c) for c in classes]
-    class_of = [0] * len(elements)
-    for ci, members in enumerate(classes):
-        for m in members:
-            class_of[m] = ci
-
-    group = FiniteSubgroup(
+    elements = tuple(elements[old] for old in perm)
+    table = tuple(tuple(where[table[perm[i]][perm[j]]] for j in range(n))
+                  for i in range(n))
+    orders = tuple(orders[old] for old in perm)
+    inverse_of = tuple(row.index(0) for row in table)
+    classes = _canonical_classes(table, inverse_of, orders, elements)
+    return FiniteSubgroup(
         spec=spec,
-        elements=tuple(elements),
-        mult_table=tuple(tuple(row) for row in table),
-        identity_index=identity,
-        inverse_of=tuple(inverse_of),
-        element_orders=tuple(orders),
-        classes=tuple(classes),
-        class_of=tuple(class_of),
-        class_reps=tuple(reps),
+        elements=elements,
+        mult_table=table,
+        identity_index=0,
+        inverse_of=inverse_of,
+        element_orders=orders,
+        classes=classes,
+        class_of=_class_index(classes, n),
+        class_reps=tuple(c[0] for c in classes),
         exponent=lcm(*orders),
     )
-    _validate(group)
-    return group
 
 
 def defining_character(group: FiniteSubgroup) -> tuple[CycNumber, ...]:

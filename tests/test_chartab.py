@@ -165,3 +165,12 @@ def test_table_json_without_a_trivial_first_row_is_refused():
     obj["values"] = obj["values"][1:] + obj["values"][:1]
     with pytest.raises(CharacterSolverError, match="trivial character row"):
         CharacterTable.from_json_obj(obj)
+
+
+def test_table_with_rows_out_of_canonical_order_is_refused():
+    _, table, _ = pipeline("binary-tetrahedral")
+    obj = table.to_json_obj()
+    for key in ("degrees", "values"):
+        obj[key][1], obj[key][2] = obj[key][2], obj[key][1]
+    with pytest.raises(CharacterSolverError, match="canonical order"):
+        CharacterTable.from_json_obj(obj)

@@ -113,12 +113,24 @@ def test_cache_hit_is_byte_identical_to_fresh_serialization(capsys):
     stored = json.loads(path.read_text())
     assert stored["format_version"] == cache.FORMAT_VERSION
     assert stored["key"] == "cyclic:5"
-
-    from mckay.cli import _build_payload
-    from mckay.groups import GroupSpec
-    fresh = _build_payload(GroupSpec.parse("cyclic:5"))
+    assert path.read_text() == json.dumps(stored, separators=(",", ":"))
     assert json.dumps(stored["payload"], indent=2) == \
-        json.dumps(fresh, indent=2)
+        json.dumps(_fresh_payload("cyclic:5"), indent=2)
+
+
+def test_a_miss_and_a_no_cache_run_parse_nothing(capsys, monkeypatch):
+    from mckay.chartab import CharacterTable
+    from mckay.groups import FiniteSubgroup
+    from mckay.quiver import CartanData
+
+    def refuse(obj):
+        raise AssertionError("from_json_obj called")
+    for cls in (FiniteSubgroup, CharacterTable, CartanData):
+        monkeypatch.setattr(cls, "from_json_obj", staticmethod(refuse))
+    code, cold, _ = invoke(capsys, "quiver", "cyclic:3")
+    assert code == 0 and cache.entry_path("cyclic:3").exists()
+    code, fresh, _ = invoke(capsys, "quiver", "cyclic:3", "--no-cache")
+    assert code == 0 and fresh == cold
 
 
 def test_no_cache_bypasses_the_store(capsys):
@@ -236,19 +248,25 @@ def test_corrupt_cache_entries_are_recomputed(capsys):
     assert code == 0 and out4 == out1
 
 
+def _fresh_payload(spec):
+    from mckay.chartab import character_table
+    from mckay.groups import GroupSpec, build_group
+    group = build_group(GroupSpec.parse(spec))
+    return {"group": group.to_json_obj(),
+            "chartab": character_table(group).to_json_obj()}
+
+
 def _empty_payload(payload):
     payload.clear()
 
 
 def _wrong_type_and_delta(payload):
-    payload["cartan"]["ade_type"] = "A~5"
-    payload["cartan"]["delta"] = [1, 1, 2]
+    """The table's degrees are the quiver's delta, which fixes its type."""
+    payload["chartab"]["degrees"] = [1, 1, 2]
 
 
 def _payload_of_another_spec(payload):
-    from mckay.cli import _build_payload
-    from mckay.groups import GroupSpec
-    payload.update(_build_payload(GroupSpec.parse("cyclic:2")))
+    payload.update(_fresh_payload("cyclic:2"))
 
 
 def _assert_damaged_entry_is_recomputed(capsys, command, spec, damage):
@@ -273,20 +291,19 @@ def test_cache_entries_that_fail_verification_are_recomputed(capsys, damage):
 
 
 def _reattached_leaves(payload):
-    """Swap two leaves of D~5 between its branch vertices: the Cartan
-    data stay self-consistent, but are not the quiver of the table."""
-    from mckay.quiver import _verified_cartan_data
-    cartan = payload["cartan"]
-    adj = cartan["adjacency"]
-    leaves = [v for v, d in enumerate(cartan["delta"]) if d == 1]
+    """Swap the rows of two leaves of D~5 on different branch vertices:
+    the rows are still the irreducible characters, but out of canonical
+    order, and the quiver read from them has the two leaves reattached."""
+    from mckay.chartab import CharacterTable
+    from mckay.quiver import mckay_quiver
+    table = payload["chartab"]
+    cartan = mckay_quiver(CharacterTable.from_json_obj(table))
+    adj = cartan.adjacency
+    leaves = [v for v, d in enumerate(cartan.delta)
+              if d == 1 and v != cartan.trivial_vertex]
     a, b = next((a, b) for a in leaves for b in leaves if adj[a] != adj[b])
-    na, nb = adj[a].index(1), adj[b].index(1)
-    for leaf, old, new in ((a, na, nb), (b, nb, na)):
-        adj[leaf][old] = adj[old][leaf] = 0
-        adj[leaf][new] = adj[new][leaf] = 1
-    payload["cartan"] = _verified_cartan_data(
-        tuple(map(tuple, adj)), tuple(cartan["delta"]),
-        cartan["trivial_vertex"]).to_json_obj()
+    for key in ("degrees", "values"):
+        table[key][a], table[key][b] = table[key][b], table[key][a]
 
 
 def _value_times_zeta3(payload):
@@ -298,9 +315,9 @@ def _value_times_zeta3(payload):
                     * root_of_unity(3)).to_json_obj()
 
 
-def _true_for_one_in_delta(payload):
-    payload["cartan"]["delta"] = [True if d == 1 else d
-                                  for d in payload["cartan"]["delta"]]
+def _true_for_one_in_class_sizes(payload):
+    payload["chartab"]["class_sizes"] = [
+        True if s == 1 else s for s in payload["chartab"]["class_sizes"]]
 
 
 def _true_for_one_in_degrees(payload):
@@ -311,12 +328,41 @@ def _true_for_one_in_degrees(payload):
 @pytest.mark.parametrize("spec,damage", [
     ("binary-dihedral:3", _reattached_leaves),
     ("binary-dihedral:3", _value_times_zeta3),
-    ("cyclic:2", _true_for_one_in_delta),
+    ("cyclic:2", _true_for_one_in_class_sizes),
     ("cyclic:2", _true_for_one_in_degrees),
 ])
 def test_cache_entries_that_disagree_with_their_table_are_recomputed(
         capsys, spec, damage):
     _assert_damaged_entry_is_recomputed(capsys, "quiver", spec, damage)
+
+
+def _swapped_columns_1_and_2(payload):
+    """On cyclic:3, classes 1 and 2 have equal sizes and traces."""
+    table = payload["chartab"]
+    for row in (*table["values"], table["defining_values"]):
+        row[1], row[2] = row[2], row[1]
+
+
+def _swapped_entries_in_mult_table_row_1(payload):
+    row = payload["group"]["mult_table"][1]
+    row[-2], row[-1] = row[-1], row[-2]
+
+
+def _true_for_one_in_group(payload):
+    group = payload["group"]
+    group["mult_table"] = [[True if x == 1 else x for x in row]
+                           for row in group["mult_table"]]
+
+
+@pytest.mark.parametrize("command,spec,damage", [
+    ("chartab", "cyclic:3", _swapped_columns_1_and_2),
+    ("chartab", "cyclic:5", _swapped_columns_1_and_2),
+    ("group", "cyclic:4", _swapped_entries_in_mult_table_row_1),
+    ("group", "cyclic:4", _true_for_one_in_group),
+])
+def test_cache_entries_that_disagree_with_their_group_are_recomputed(
+        capsys, command, spec, damage):
+    _assert_damaged_entry_is_recomputed(capsys, command, spec, damage)
 
 
 def test_unusable_cache_directory_warns_and_computes(capsys, tmp_path,

@@ -135,3 +135,24 @@ def test_group_json_round_trip():
     again = FiniteSubgroup.from_json_obj(g.to_json_obj())
     assert again.to_json_obj() == g.to_json_obj()
     assert again.elements == g.elements
+
+
+def _swap(items, a, b):
+    items[a], items[b] = items[b], items[a]
+
+
+@pytest.mark.parametrize("damage,error", [
+    (lambda obj: obj.update(inverses=[True if x == 1 else x
+                                      for x in obj["inverses"]]), "JSON integers"),
+    (lambda obj: obj.update(spec="cyclic:6"), "8 elements, expected 6"),
+    (lambda obj: _swap(obj["mult_table"][1], -2, -1), "Latin square"),
+    (lambda obj: _swap(obj["elements"], 2, 3), "elements, orders"),
+    (lambda obj: _swap(obj["classes"], 3, 4), "classes"),
+])
+def test_damaged_group_json_is_refused(damage, error):
+    from mckay.groups import FiniteSubgroup
+    g, _, _ = pipeline("binary-dihedral:2")
+    obj = g.to_json_obj()
+    damage(obj)
+    with pytest.raises((ValueError, GroupConstructionError), match=error):
+        FiniteSubgroup.from_json_obj(obj)
