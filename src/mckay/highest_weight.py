@@ -4,21 +4,26 @@ Multiplicities m(v) are indexed by the drop vector v >= 0: the module
 with highest weight  sum w_i Lambda_i  has weight  w - sum v_i alpha_i
 with multiplicity m(v).  Two independent algorithms are provided:
 
-  * freudenthal: the Freudenthal recursion in increasing height, with
-    non-dominant weights handled by reflecting to the dominant chamber
-    (multiplicities are Weyl invariant);
+  * freudenthal: the Freudenthal recursion, with non-dominant weights
+    handled by reflecting to a smaller drop (multiplicities are Weyl
+    invariant).  It carries the weight's pairing with the coroots along
+    each row instead of recomputing it per drop;
   * weylkac_oracle: a truncated series evaluation of the character as
     (alternating sum over the affine Weyl orbit of w + rho) divided by
     the product of (1 - e^-beta)^mult over positive roots.  The series
-    lies row by row in one flat list, a row fixing every coordinate but
-    the last, and each factor is divided out in one pass over the rows.
+    lies row by row in one flat list, and each factor is divided out in
+    one sweep of (source, destination) row pairs.
 
 Both run over one finite window of drop vectors: either all v of height
 at most D, or all v componentwise below a cap (the cap form reaches
 the imaginary root of the big exceptional types cheaply, since the box
 below delta is small while the height simplex is astronomically big).
-A window of more than WINDOW_BUDGET vectors is refused up front.
-All arithmetic is exact integers.
+Both walk the window row by row, a row fixing every coordinate but the
+last, in lex order; that order puts every u < v componentwise before v,
+which is all either recursion needs.  The window owns the row layout,
+so neither algorithm looks at the window's shape.  A window of more
+than WINDOW_BUDGET vectors is refused up front.  All arithmetic is
+exact integers.
 
 The symmetric form is fixed by (Lambda_i, alpha_j) = delta_ij and
 (alpha_i, alpha_j) = C_ij, with rho = sum Lambda_i; positive affine
@@ -28,10 +33,11 @@ the imaginary multiples of delta carrying multiplicity rank.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul, sub
 
 from .cyclotomic import CycNumber
 from .errors import InvariantError
@@ -49,9 +55,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplicityTable:
-    """Nonzero weight multiplicities within a finite window."""
+    """Nonzero weight multiplicities within a finite window; tables are
+    equal when their framing, window and entries are."""
 
     framing: tuple[int, ...]
     depth: int | None
@@ -64,7 +71,10 @@ class MultiplicityTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiplicityTable):
             return NotImplemented
-        return self.framing == other.framing and self.entries == other.entries
+        return (self.framing == other.framing and self.depth == other.depth
+                and self.cap == other.cap and self.entries == other.entries)
+
+    __hash__ = None  # the entries are a dict
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.entries.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -92,8 +102,13 @@ def _check_framing(w, cd: CartanData) -> tuple[int, ...]:
 
 class _Window:
     """A downward-closed set of drop vectors v >= 0: a simplex
-    (sum(v) <= depth) or a box (v <= cap componentwise).  Only member,
-    size, rows and shrink look at which of the two it is."""
+    (sum(v) <= depth) or a box (v <= cap componentwise).  Its rows are
+    laid end to end in lex order, and it owns their addressing: offset
+    places a member, and passes pairs each row of v - beta with the row
+    of v.  A box row starts at a mixed-radix sum of its prefix; a
+    simplex row is looked up by its prefix.  Only member, size, rows,
+    shrink, offset and passes look at which of the two it is, so the
+    algorithms never do."""
 
     def __init__(self, n: int, depth: int | None = None,
                  cap: tuple[int, ...] | None = None):
@@ -151,12 +166,44 @@ class _Window:
             return _Window.simplex(self.n, self.depth - sum(beta))
         return _Window.box(self.n, (c - b for c, b in zip(self.cap, beta)))
 
-    def vectors(self) -> list[tuple[int, ...]]:
-        """All members, by (height, lex)."""
-        out = [prefix + (k,) for prefix, run in self.rows()
-               for k in range(run)]
-        out.sort(key=sum)  # stable: lex order within each height
-        return out
+    @functools.cached_property
+    def _starts(self) -> dict[tuple[int, ...], int]:
+        """Flat offset of each simplex row, by its prefix."""
+        starts = {}
+        size = 0
+        for prefix, run in self.rows():
+            starts[prefix] = size
+            size += run
+        return starts
+
+    @functools.cached_property
+    def _strides(self) -> tuple[int, ...]:
+        """Mixed-radix place values of the box coordinates."""
+        strides = [1]
+        for c in reversed(self.cap[1:]):
+            strides.append(strides[-1] * (c + 1))
+        return tuple(reversed(strides))
+
+    def offset(self, v) -> int:
+        """Position of member v when the rows are laid end to end."""
+        if self.cap is None:
+            return self._starts[v[:-1]] + v[-1]
+        return sum(map(mul, v, self._strides))
+
+    def passes(self, beta) -> list[tuple[int, int, int]]:
+        """(src, dst, run) per row of the members v >= beta: the run
+        entries from offset src hold v - beta for the run entries v from
+        offset dst, in the rows' order.  A box row starts at a linear
+        function of its prefix, so there dst = src + offset(beta)."""
+        if self.cap is None:
+            start, head, last = self._starts, beta[:-1], beta[-1]
+            return [(start[q], start[tuple(map(add, q, head))] + last, run)
+                    for q, run in self.shrink(beta).rows()]
+        srcs = [0]
+        for c, b, stride in zip(self.cap[:-1], beta[:-1], self._strides[:-1]):
+            srcs = [s + k * stride for s in srcs for k in range(c - b + 1)]
+        shift, run = self.offset(beta), self.cap[-1] - beta[-1] + 1
+        return [(src, src + shift, run) for src in srcs]
 
 
 def _window_roots(cd: CartanData, window: _Window
@@ -188,53 +235,66 @@ def _sparse_rows(cartan) -> list[list[tuple[int, int]]]:
 def _freudenthal_core(w: tuple[int, ...], cd: CartanData, window: _Window,
                       roots: list[tuple[tuple[int, ...], int]]
                       ) -> dict[tuple[int, ...], int]:
-    n = cd.vertex_count
-    vectors = window.vectors()
-    rows = _sparse_rows(cd.cartan)
-    root_data = [(beta, mult,
-                  sum(w[i] * beta[i] for i in range(n)),
-                  [sum(cd.cartan[i][j] * beta[j] for j in range(n))
-                   for i in range(n)])
+    """The recursion over window.rows(), whose lex order puts every
+    u < v componentwise before v: each v - k beta and each reflected
+    drop is final when it is read.  pair = w - C v, the weight's
+    pairing with the simple coroots, is set once per row and stepped
+    by the last Cartan column along it."""
+    head = [row[:-1] for row in cd.cartan]
+    last = [(i, row[-1]) for i, row in enumerate(cd.cartan) if row[-1]]
+    # C is symmetric, so (beta, weight at u) = beta . pair(u), and the
+    # step u -> u - beta raises it by (beta, beta)
+    root_data = [(beta, mult, [(i, b) for i, b in enumerate(beta) if b],
+                  sum(beta[i] * c * beta[j] for i, row in enumerate(cd.cartan)
+                      for j, c in enumerate(row)))
                  for beta, mult in roots]
-    table: dict[tuple[int, ...], int] = {vectors[0]: 1}
-    for v in vectors[1:]:
-        cv = [sum(c * v[j] for j, c in row) for row in rows]
-        reflected = False
-        for i in range(n):
-            pairing = w[i] - cv[i]
-            if pairing < 0:
+    table: dict[tuple[int, ...], int] = {}
+    for prefix, run in window.rows():
+        pair = [wi - sum(map(mul, row, prefix)) for wi, row in zip(w, head)]
+        for k in range(run):
+            if k:
+                for i, c in last:
+                    pair[i] -= c
+            v = prefix + (k,)
+            low = min(pair)
+            if low < 0:
+                # multiplicities are Weyl invariant: reflect in a wall
+                # the weight lies beyond, to a smaller drop
+                i = pair.index(low)
                 moved = list(v)
-                moved[i] += pairing
+                moved[i] += low
                 if moved[i] >= 0:
-                    value = table.get(tuple(moved), 0)
+                    value = table.get(tuple(moved))
                     if value:
                         table[v] = value
-                reflected = True
-                break
-        if reflected:
-            continue
-        denominator = sum(v[i] * (2 * (w[i] + 1) - cv[i]) for i in range(n))
-        if denominator <= 0:
-            raise InvariantError(
-                f"Freudenthal denominator {denominator} at dominant v={v}; "
-                "bookkeeping is corrupt")
-        rhs = 0
-        for beta, mult, w_beta, c_beta in root_data:
-            u = tuple(a - b for a, b in zip(v, beta))
-            while min(u) >= 0:
-                m_u = table.get(u, 0)
-                if m_u:
-                    rhs += mult * m_u * (w_beta - sum(u[i] * c_beta[i]
-                                                      for i in range(n)))
-                u = tuple(a - b for a, b in zip(u, beta))
-        rhs *= 2
-        if rhs % denominator:
-            raise InvariantError(f"non-integral multiplicity at v={v}")
-        value = rhs // denominator
-        if value < 0:
-            raise InvariantError(f"negative multiplicity at v={v}")
-        if value:
-            table[v] = value
+                continue
+            if not any(v):
+                table[v] = 1
+                continue
+            denominator = sum(a * (wi + 2 + p) for a, wi, p in zip(v, w, pair))
+            if denominator <= 0:
+                raise InvariantError(
+                    f"Freudenthal denominator {denominator} at dominant "
+                    f"v={v}; bookkeeping is corrupt")
+            rhs = 0
+            for beta, mult, support, norm in root_data:
+                steps = min(v[i] // b for i, b in support)
+                term = sum(b * pair[i] for i, b in support)
+                u = v
+                for _ in range(steps):
+                    u = tuple(map(sub, u, beta))
+                    term += norm
+                    m_u = table.get(u)
+                    if m_u:
+                        rhs += mult * m_u * term
+            rhs *= 2
+            if rhs % denominator:
+                raise InvariantError(f"non-integral multiplicity at v={v}")
+            value = rhs // denominator
+            if value < 0:
+                raise InvariantError(f"negative multiplicity at v={v}")
+            if value:
+                table[v] = value
     return table
 
 
@@ -267,24 +327,17 @@ def _weylkac_core(w: tuple[int, ...], cd: CartanData, window: _Window,
                   roots: list[tuple[tuple[int, ...], int]]
                   ) -> dict[tuple[int, ...], int]:
     """The numerator laid out row by row in one flat list, divided by
-    each factor (1 - e^-beta) in place.  The pass for beta adds row q of
-    window.shrink(beta) into row q + beta[:-1], shifted by beta[-1];
-    rows run in increasing lex order, which refines the componentwise
-    order of a downward-closed window, so every source entry is final
-    before it is read."""
-    start: dict[tuple[int, ...], int] = {}
-    size = 0
-    for prefix, run in window.rows():
-        start[prefix] = size
-        size += run
-    series = [0] * size
+    each factor (1 - e^-beta) in place: every entry at v >= beta gains
+    the entry at v - beta, row by row as window.passes(beta) pairs
+    them.  The rows run in increasing lex order, which refines the
+    componentwise order of a downward-closed window, so every source
+    entry is final before it is read."""
+    series = [0] * window.size
     for drop, sign in _numerator_signs(w, cd, window.member).items():
-        series[start[drop[:-1]] + drop[-1]] = sign
+        series[window.offset(drop)] = sign
 
     for beta, mult in roots:
-        head, last = beta[:-1], beta[-1]
-        passes = [(start[q], start[tuple(map(add, q, head))] + last, run)
-                  for q, run in window.shrink(beta).rows()]
+        passes = window.passes(beta)
         for _ in range(mult):
             for src, dst, run in passes:
                 for k in range(run):
@@ -293,8 +346,8 @@ def _weylkac_core(w: tuple[int, ...], cd: CartanData, window: _Window,
                         series[dst + k] += value
 
     table = {}
+    row = 0
     for prefix, run in window.rows():
-        row = start[prefix]
         for k in range(run):
             value = series[row + k]
             if value:
@@ -303,6 +356,7 @@ def _weylkac_core(w: tuple[int, ...], cd: CartanData, window: _Window,
                     raise InvariantError(f"negative coefficient at v={v} in "
                                          "the character series")
                 table[v] = value
+        row += run
     if table.get(tuple([0] * cd.vertex_count)) != 1:
         raise InvariantError("highest weight multiplicity is not 1")
     return table

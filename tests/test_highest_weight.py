@@ -1,7 +1,8 @@
 import pytest
 
 from mckay.cyclotomic import CycNumber, root_of_unity
-from mckay.highest_weight import (drinfeld_polynomials, freudenthal,
+from mckay.highest_weight import (MultiplicityTable, _Window,
+                                  drinfeld_polynomials, freudenthal,
                                   freudenthal_box, weylkac_box, weylkac_oracle)
 from mckay.roots import AffineWeight, MVStatus, m_v_status
 
@@ -55,12 +56,21 @@ def test_two_algorithms_agree(text, w, depth):
 
 
 def test_box_windows_agree_with_each_other_and_with_the_simplex():
-    # uneven caps, a 0 in the last entry (runs of length 1), a 0 inside
+    # uneven caps, a 0 in the last entry (runs of length 1), a 0 inside,
+    # leading zeros with the largest entry not last; None is the box
+    # below delta, here under Lambda_0 + Lambda_1
     for text, w, cap in [("cyclic:3", (1, 0, 0), (2, 2, 2)),
                          ("cyclic:3", (1, 0, 0), (1, 2, 0)),
                          ("binary-dihedral:2", (1, 0, 0, 0, 0),
-                          (2, 1, 0, 1, 2))]:
+                          (2, 1, 0, 1, 2)),
+                         ("binary-dihedral:2", (1, 0, 0, 0, 0),
+                          (0, 2, 1, 0, 2)),
+                         ("binary-dihedral:2", (1, 1, 0, 0, 0),
+                          (0, 2, 1, 0, 2)),
+                         ("binary-dihedral:2", (1, 1, 0, 0, 0), None),
+                         ("binary-tetrahedral", (1, 1, 0, 0, 0, 0, 0), None)]:
         _, _, cd = pipeline(text)
+        cap = cd.delta if cap is None else cap
         box_f = freudenthal_box(w, cd, cap)
         box_k = weylkac_box(w, cd, cap)
         assert box_f.entries == box_k.entries
@@ -68,6 +78,56 @@ def test_box_windows_agree_with_each_other_and_with_the_simplex():
         overlap = {v: m for v, m in simplex.entries.items()
                    if all(a <= b for a, b in zip(v, cap))}
         assert overlap == box_f.entries
+
+
+def _laid_out(window):
+    return [prefix + (k,) for prefix, run in window.rows() for k in range(run)]
+
+
+@pytest.mark.parametrize("window", [
+    _Window.simplex(4, 5), _Window.simplex(2, 0),
+    _Window.box(5, (0, 2, 1, 0, 2)), _Window.box(3, (2, 0, 3)),
+    _Window.box(4, (1, 2, 2, 1))])
+def test_rows_put_every_predecessor_first(window):
+    order = _laid_out(window)
+    assert len(order) == len(set(order)) == window.size
+    position = {v: k for k, v in enumerate(order)}
+    for v, k in position.items():
+        assert window.member(v)
+        for i in range(window.n):
+            u = v[:i] + (v[i] - 1,) + v[i + 1:]
+            if window.member(u):
+                assert position[u] < k, (u, v)
+
+
+@pytest.mark.parametrize("window,beta", [
+    (_Window.simplex(4, 5), (0, 1, 0, 2)), (_Window.simplex(3, 4), (0, 0, 1)),
+    (_Window.box(5, (0, 2, 1, 0, 2)), (0, 1, 1, 0, 0)),
+    (_Window.box(5, (0, 2, 1, 0, 2)), (0, 0, 0, 0, 1)),
+    (_Window.box(4, (1, 2, 2, 1)), (1, 1, 0, 1))])
+def test_passes_pair_each_member_with_its_drop_by_beta(window, beta):
+    order = _laid_out(window)
+    assert [window.offset(v) for v in order] == list(range(window.size))
+    pairs = [(order[src + k], order[dst + k])
+             for src, dst, run in window.passes(beta) for k in range(run)]
+    targets = [v for v in order if all(a >= b for a, b in zip(v, beta))]
+    assert [v for _, v in pairs] == targets
+    assert all(tuple(a - b for a, b in zip(v, beta)) == u for u, v in pairs)
+
+
+def test_tables_compare_by_framing_window_and_entries():
+    _, _, cd = pipeline("cyclic:2")
+    box = freudenthal_box((1, 0), cd, (1, 0))
+    simplex = freudenthal((1, 0), cd, 1)
+    assert box.entries == simplex.entries == {(0, 0): 1, (1, 0): 1}
+    assert box != simplex
+    assert box == weylkac_box((1, 0), cd, (1, 0))
+    assert simplex == weylkac_oracle((1, 0), cd, 1)
+    assert box != MultiplicityTable((1, 0), None, (1, 1), box.entries)
+    assert simplex != MultiplicityTable((1, 0), 2, None, simplex.entries)
+    with pytest.raises(TypeError,
+                       match="unhashable type: 'MultiplicityTable'"):
+        hash(box)
 
 
 @pytest.mark.parametrize("cap", [(1, -1, 1), (1, 1), (1, 1, 1, 1)])
