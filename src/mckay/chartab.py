@@ -13,14 +13,14 @@ certifies integer character pairings in a second prime field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
 from .cyclotomic import CycNumber
 from .errors import InternalError
-from .groups import FiniteSubgroup, GroupSpec, defining_character
+from .groups import FiniteSubgroup, defining_character
 
 __all__ = ["CharacterTable", "CharacterSolverError", "character_table", "inner_product",
            "pairings"]
@@ -32,25 +32,33 @@ class CharacterSolverError(InternalError):
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Irreducible characters, rows sorted with the trivial character
-    first and then by (degree, lexicographic values); the constructor
-    refuses any other order.
-
-    defining_values carries the trace of the defining 2-dimensional
-    representation on each class; the McKay quiver is built from it.
+    """The irreducible characters of a group, one row per character and
+    one column per class, rows sorted with the trivial character first
+    and then by (degree, lexicographic values); the constructor refuses
+    any other order, and derives the degrees, the class sizes and the
+    defining values, the trace of the defining 2-dimensional
+    representation on each class, from which the McKay quiver is built.
     """
 
-    group_spec: GroupSpec
-    degrees: tuple[int, ...]
+    group: FiniteSubgroup
     values: tuple[tuple[CycNumber, ...], ...]
-    class_sizes: tuple[int, ...]
-    trivial_index: int
-    defining_values: tuple[CycNumber, ...]
+    degrees: tuple[int, ...] = field(init=False)
+    class_sizes: tuple[int, ...] = field(init=False)
+    defining_values: tuple[CycNumber, ...] = field(init=False)
+
+    trivial_index = 0  # not a field: the canonical order puts it first
 
     def __post_init__(self):
         one = CycNumber.coerce(1)
-        if self.trivial_index != 0 or any(v != one for v in self.values[0]):
+        if any(v != one for v in self.values[0]):
             raise CharacterSolverError("trivial character row is missing")
+        if not all(row[0].is_integer() and row[0].rational_value() > 0
+                   for row in self.values):
+            raise CharacterSolverError("a degree is not a positive integer")
+        object.__setattr__(self, "degrees",
+                           tuple(int(row[0].rational_value()) for row in self.values))
+        object.__setattr__(self, "class_sizes", self.group.class_sizes)
+        object.__setattr__(self, "defining_values", defining_character(self.group))
         # rows only: for a square table X, X D X* = |G| I already gives
         # the column relations X* X = |G| D^-1 (at the identity class,
         # sum d^2 = |G|)
@@ -59,7 +67,7 @@ class CharacterTable:
                 tuple(int(i == j) for j in range(r)) for i in range(r)):
             raise CharacterSolverError("character rows are not orthonormal")
         keys = [_row_key(d, row) for d, row in zip(self.degrees, self.values)]
-        if len(self.degrees) != r or any(a >= b for a, b in zip(keys, keys[1:])):
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             raise CharacterSolverError("character rows are not in canonical order")
 
     @property
@@ -68,11 +76,11 @@ class CharacterTable:
 
     @property
     def group_order(self) -> int:
-        return sum(self.class_sizes)
+        return self.group.order
 
     def to_json_obj(self) -> dict:
         return {
-            "spec": str(self.group_spec),
+            "spec": str(self.group.spec),
             "degrees": list(self.degrees),
             "class_sizes": list(self.class_sizes),
             "trivial_index": self.trivial_index,
@@ -81,22 +89,21 @@ class CharacterTable:
         }
 
     @staticmethod
-    def from_json_obj(obj: dict) -> CharacterTable:
+    def from_json_obj(obj: dict, group: FiniteSubgroup) -> CharacterTable:
+        """Rebuilt from the values on `group`, with every check run again;
+        the stored spec, degrees, class sizes and defining values must
+        equal the derived ones."""
         if (any(type(x) is not int or x < 1
                 for x in (*obj["degrees"], *obj["class_sizes"]))
                 or type(obj["trivial_index"]) is not int):
             raise ValueError("degrees and class sizes must be positive JSON "
                              "integers, and the trivial index an integer")
-        return CharacterTable(
-            group_spec=GroupSpec.parse(obj["spec"]),
-            degrees=tuple(obj["degrees"]),
-            values=tuple(tuple(CycNumber.from_json_obj(v) for v in row)
-                         for row in obj["values"]),
-            class_sizes=tuple(obj["class_sizes"]),
-            trivial_index=obj["trivial_index"],
-            defining_values=tuple(CycNumber.from_json_obj(v)
-                                  for v in obj["defining_values"]),
-        )
+        table = CharacterTable(group, tuple(
+            tuple(CycNumber.from_json_obj(v) for v in row) for row in obj["values"]))
+        if table.to_json_obj() != obj:
+            raise CharacterSolverError("stored spec, degrees, class sizes or defining "
+                                       "values differ from what the group gives")
+        return table
 
 
 def _row_key(degree: int, row) -> tuple:
@@ -337,28 +344,29 @@ def _common_eigenlines(mats: list[list[list[int]]], p: int, r: int) -> list[list
     return [rows[0] for rows, _ in spaces]
 
 
-def _lift_row(group: FiniteSubgroup, chi_fp: list[int], degree: int,
-              power_class: list[list[int]], zeta_fp: int, p: int) -> list[CycNumber]:
-    e = group.exponent
-    inv_e = pow(e, -1, p)
-    zeta_pows = [1] * e
-    for t in range(1, e):
-        zeta_pows[t] = zeta_pows[t - 1] * zeta_fp % p
+def _lift_row(chi_fp: list[int], degree: int, power_class: list[list[int]],
+              zeta_pows: list[int], p: int) -> list[CycNumber]:
+    """Exact values of a character from its values in F_p.  On a class
+    whose elements g have order o, the eigenvalue zeta_o^t of g occurs
+    m_t = (1/o) sum_s chi(g^s) zeta_o^(-st) times; power_class[c] lists
+    the classes of g^s for s < o, and zeta_pows the powers of zeta_e in
+    F_p, e the exponent, so that zeta_o = zeta_e^(e/o)."""
+    e = len(zeta_pows)
     values = []
-    for c in range(len(group.classes)):
+    for powers in power_class:
+        o = len(powers)
+        roots = zeta_pows[::e // o]
+        inv_o = pow(o, -1, p)
         mults = {}
-        for t in range(e):
-            m = 0
-            for s in range(e):
-                m += chi_fp[power_class[c][s]] * zeta_pows[(-s * t) % e]
-            m = m % p * inv_e % p
-            if m:
-                mults[t] = Fraction(m)
-        total = sum(int(v) for v in mults.values())
+        for t in range(o):
+            m = sum(chi_fp[powers[s]] * roots[-s * t % o] for s in range(o))
+            if m % p:
+                mults[t] = m % p * inv_o % p
+        total = sum(mults.values())
         if total != degree:
             raise CharacterSolverError(
                 f"eigenvalue multiplicities sum to {total}, expected {degree}")
-        values.append(CycNumber(e, mults))
+        values.append(CycNumber(o, mults))
     return values
 
 
@@ -368,10 +376,9 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
     e = group.exponent
     p = _dixon_prime(2 * isqrt(order ** 3), e)
 
-    constants = _class_constants(group)
-    lines = _common_eigenlines(constants, p, r)
+    # class 0 is the identity's, whose matrix is I and splits nothing
+    lines = _common_eigenlines(_class_constants(group)[1:], p, r)
 
-    identity_class = group.class_of[group.identity_index]
     inverse_class = [group.class_of[group.inverse_of[rep]] for rep in group.class_reps]
     sizes = group.class_sizes
     inv_sizes = [pow(s, -1, p) for s in sizes]
@@ -380,18 +387,19 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
     for rep in group.class_reps:
         row = []
         x = group.identity_index
-        for _ in range(e):
+        for _ in range(group.element_orders[rep]):
             row.append(group.class_of[x])
             x = group.mult_table[x][rep]
         power_class.append(row)
 
     zeta_fp = pow(_primitive_root(p), (p - 1) // e, p)
+    zeta_pows = [pow(zeta_fp, t, p) for t in range(e)]
 
     rows = []
     for line in lines:
-        if line[identity_class] == 0:
+        if line[0] == 0:
             raise CharacterSolverError("central character vanishes on the identity")
-        scale = pow(line[identity_class], -1, p)
+        scale = pow(line[0], -1, p)
         omega = [v * scale % p for v in line]
         norm = sum(omega[c] * omega[inverse_class[c]] * inv_sizes[c]
                    for c in range(r)) % p
@@ -405,16 +413,7 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
             raise CharacterSolverError("no degree d <= sqrt|G| has d^2 = |G|/norm mod p")
         # chi(g) = d * omega(g) / |C(g)| in F_p
         chi_fp = [degree * omega[c] % p * inv_sizes[c] % p for c in range(r)]
-        rows.append((degree, _lift_row(group, chi_fp, degree, power_class,
-                                       zeta_fp, p)))
+        rows.append((degree, _lift_row(chi_fp, degree, power_class, zeta_pows, p)))
 
     rows.sort(key=lambda item: _row_key(*item))
-
-    return CharacterTable(
-        group_spec=group.spec,
-        degrees=tuple(d for d, _ in rows),
-        values=tuple(tuple(vals) for _, vals in rows),
-        class_sizes=sizes,
-        trivial_index=0,
-        defining_values=defining_character(group),
-    )
+    return CharacterTable(group, tuple(tuple(vals) for _, vals in rows))

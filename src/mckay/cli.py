@@ -3,8 +3,8 @@
 Every subcommand emits deterministic JSON on stdout (DOT for
 `quiver --dot`); diagnostics go to stderr.  Exit codes: 0 success,
 2 usage error (bad arguments, an unknown group spec or one above the
-closure bound, a multiplicity window or a strata listing over its
-budget), 1 internal invariant failure.
+closure bound or the class budget, a multiplicity window or a strata
+listing over its budget), 1 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import cache
 from .chartab import CharacterTable, character_table
 from .cyclotomic import CycNumber, root_of_unity
 from .errors import InternalError, InvariantError
-from .groups import FiniteSubgroup, GroupSpec, build_group, defining_character
+from .groups import CLASS_BUDGET, FiniteSubgroup, GroupSpec, build_group
 from .highest_weight import drinfeld_polynomials, freudenthal, weylkac_oracle
 from .quiver import CartanData, mckay_quiver, to_dot
 from .roots import reconstruct_g_dim, root_system_for
@@ -31,20 +31,22 @@ __all__ = ["run", "main"]
 def load_pipeline(spec: GroupSpec, use_cache: bool = True
                   ) -> tuple[FiniteSubgroup, CharacterTable, CartanData]:
     """Group, character table, and Cartan data for a spec, through the
-    on-disk cache unless told otherwise.  The entry holds the group and
-    the table, which pass their constructors' checks and must agree; the
-    quiver is always derived from the table.  An entry that fails to
+    on-disk cache unless told otherwise.  A spec with more classes than
+    CLASS_BUDGET is refused first.  The entry holds the group and the
+    table, which are rebuilt from their defining data with every check;
+    the quiver is always derived from the table.  An entry that fails to
     load or to verify is recomputed and overwritten."""
+    if spec.class_count > CLASS_BUDGET:
+        raise ValueError(f"{spec} has r = {spec.class_count} conjugacy classes, "
+                         f"above the class budget of {CLASS_BUDGET}")
     key = str(spec)
     payload = cache.load(key) if use_cache else None
     if payload is not None:
         try:
             group = FiniteSubgroup.from_json_obj(payload["group"])
-            table = CharacterTable.from_json_obj(payload["chartab"])
-            if ((group.spec, table.group_spec) != (spec, spec)
-                    or table.class_sizes != group.class_sizes
-                    or table.defining_values != defining_character(group)):
-                raise InvariantError("the entry's group and table do not agree")
+            if group.spec != spec:
+                raise InvariantError("the entry holds another group")
+            table = CharacterTable.from_json_obj(payload["chartab"], group)
             return group, table, mckay_quiver(table)
         except (LookupError, TypeError, ValueError, AttributeError,
                 ArithmeticError, InternalError):

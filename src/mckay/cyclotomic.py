@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-__all__ = ["CycNumber", "root_of_unity", "from_rational"]
+__all__ = ["CycNumber", "root_of_unity"]
 
 _RationalLike = (int, Fraction)
 
@@ -322,7 +322,3 @@ def root_of_unity(n: int, k: int = 1) -> CycNumber:
     if n < 1:
         raise ValueError("order of a root of unity must be a positive integer")
     return CycNumber(n, {k % n: Fraction(1)})
-
-
-def from_rational(value) -> CycNumber:
-    return CycNumber.coerce(Fraction(value))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 CLOSURE_BOUND = 2000
+# Largest class count r accepted by the CLI: the largest r whose
+# `quiver --no-cache` finishes in about 10 s.  At r = 60, binary-dihedral:57
+# took 9.8 s and cyclic:60 3.8 s (Python 3.11, 2 vCPU); the Dixon split
+# and lift grow about as r^4.
+CLASS_BUDGET = 60
 
 FAMILIES = (
     "cyclic",
@@ -121,11 +126,11 @@ class GroupElement:
 
     __slots__ = ("entries", "_hash")
 
-    def __init__(self, a, b, c, d, check: bool = True):
+    def __init__(self, a, b, c, d):
         entries = tuple(CycNumber.coerce(x) for x in (a, b, c, d))
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hash", hash(entries))
-        if check and self.det() != 1:
+        if self.det() != 1:
             raise ValueError(f"matrix {entries} is not in SL2: det = {self.det()}")
 
     def __setattr__(self, name, value):
@@ -150,7 +155,7 @@ class GroupElement:
 
     def inverse(self) -> GroupElement:
         a, b, c, d = self.entries
-        return GroupElement(d, -b, -c, a, check=False)
+        return GroupElement(d, -b, -c, a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
@@ -211,27 +216,66 @@ def _generators(spec: GroupSpec) -> list[GroupElement]:
 
 @dataclass(frozen=True)
 class FiniteSubgroup:
-    """A fully enumerated subgroup of SL2(C) with its class structure.
+    """A fully enumerated subgroup of SL2(C): its elements and their
+    multiplication table.  The constructor checks the group law and
+    derives the inverses, element orders, exponent and classes.
 
     Elements are ordered with the identity first, then by (element
     order, canonical serialization); classes by (representative order,
     class size, representative serialization).  Everything downstream
-    relies on these orders being deterministic.
+    relies on these orders being deterministic, and the constructor
+    refuses any other.
     """
 
     spec: GroupSpec
     elements: tuple[GroupElement, ...]
     mult_table: tuple[tuple[int, ...], ...]
-    identity_index: int
-    inverse_of: tuple[int, ...]
-    element_orders: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
-    class_reps: tuple[int, ...]
-    exponent: int
+    inverse_of: tuple[int, ...] = field(init=False)
+    element_orders: tuple[int, ...] = field(init=False)
+    exponent: int = field(init=False)
+    classes: tuple[tuple[int, ...], ...] = field(init=False)
+    class_of: tuple[int, ...] = field(init=False)
+    class_reps: tuple[int, ...] = field(init=False)
+
+    identity_index = 0  # not a field: the canonical order puts it first
 
     def __post_init__(self):
-        _validate(self)
+        """Checks in time O(|G|^2) and without matrix products that the
+        table is a group law on the canonically ordered elements."""
+        table, elements = self.mult_table, self.elements
+        n = len(elements)
+        if n != self.spec.order or elements[0] != IDENTITY:
+            raise GroupConstructionError(f"{self.spec}: {n} elements, expected "
+                                         f"{self.spec.order}, identity first")
+        span = set(range(n))
+        if len(table) != n or any(len(line) != n or set(line) != span
+                                  for line in (*table, *zip(*table))):
+            raise GroupConstructionError("the table is not a Latin square")
+        if any(table[0][j] != j or table[j][0] != j for j in range(n)):
+            raise GroupConstructionError("identity row/column is wrong")
+        inverse_of = tuple(row.index(0) for row in table)
+        if any(table[j][i] != 0 for i, j in enumerate(inverse_of)):
+            raise GroupConstructionError("inverse map is wrong")
+        rng = random.Random(0)
+        for _ in range(min(200, n ** 3)):
+            a, b, c = (rng.randrange(n) for _ in range(3))
+            if table[table[a][b]][c] != table[a][table[b][c]]:
+                raise GroupConstructionError("associativity spot check failed")
+        orders = tuple(_element_order(table, i) for i in range(n))
+        keys = [_element_key(elements, orders, i) for i in range(n)]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise GroupConstructionError("elements, orders and table are not "
+                                         "in canonical order")
+        classes = _canonical_classes(table, inverse_of, orders, elements)
+        class_of = [0] * n
+        for ci, members in enumerate(classes):
+            for m in members:
+                class_of[m] = ci
+        for name, value in (("inverse_of", inverse_of), ("element_orders", orders),
+                            ("exponent", lcm(*orders)), ("classes", classes),
+                            ("class_of", tuple(class_of)),
+                            ("class_reps", tuple(c[0] for c in classes))):
+            object.__setattr__(self, name, value)
 
     @property
     def order(self) -> int:
@@ -268,24 +312,22 @@ class FiniteSubgroup:
 
     @staticmethod
     def from_json_obj(obj: dict) -> FiniteSubgroup:
+        """Rebuilt from the spec, elements and table, with every check run
+        again; the stored inverses, orders, classes and exponent must
+        equal the derived ones."""
         if any(type(x) is not int for x in (
                 obj["order"], obj["identity"], obj["exponent"],
                 *itertools.chain(*obj["mult_table"], *obj["classes"]),
                 *obj["inverses"], *obj["element_orders"], *obj["class_reps"])):
             raise ValueError("group indices, orders and exponent must be JSON integers")
-        classes = tuple(tuple(c) for c in obj["classes"])
-        return FiniteSubgroup(
-            spec=GroupSpec.parse(obj["spec"]),
-            elements=tuple(GroupElement.from_json_obj(e) for e in obj["elements"]),
-            mult_table=tuple(tuple(row) for row in obj["mult_table"]),
-            identity_index=obj["identity"],
-            inverse_of=tuple(obj["inverses"]),
-            element_orders=tuple(obj["element_orders"]),
-            classes=classes,
-            class_of=_class_index(classes, obj["order"]),
-            class_reps=tuple(obj["class_reps"]),
-            exponent=obj["exponent"],
-        )
+        group = FiniteSubgroup(
+            GroupSpec.parse(obj["spec"]),
+            tuple(GroupElement.from_json_obj(e) for e in obj["elements"]),
+            tuple(tuple(row) for row in obj["mult_table"]))
+        if group.to_json_obj() != obj:
+            raise GroupConstructionError("stored inverses, orders, classes or "
+                                         "exponent differ from what the table gives")
+        return group
 
 
 def _close_under_multiplication(gens: list[GroupElement]) -> tuple[list, list, list]:
@@ -334,9 +376,10 @@ def _full_table(parents, right) -> list[list[int]]:
     return [list(row) for row in zip(*columns)]
 
 
-def _element_order(table, identity: int, i: int) -> int:
+def _element_order(table, i: int) -> int:
+    """Order of element i under a table whose identity is element 0."""
     order, x = 1, i
-    while x != identity:
+    while x:
         x = table[x][i]
         order += 1
         if order > len(table):
@@ -366,78 +409,18 @@ def _canonical_classes(table, inverse_of, orders, elements) -> tuple:
     return tuple(classes)
 
 
-def _class_index(classes, n: int) -> tuple[int, ...]:
-    class_of = [0] * n
-    for ci, members in enumerate(classes):
-        for m in members:
-            class_of[m] = ci
-    return tuple(class_of)
-
-
-def _validate(group: FiniteSubgroup) -> None:
-    """Checks that every group passes, built or read back, in time
-    O(|G|^2) and without matrix products: the table is a group law with
-    the stated identity and inverses, and the elements, orders, exponent
-    and classes are the ones `build_group` derives from it."""
-    table = group.mult_table
-    n = group.order
-    e = group.identity_index
-    if n != group.spec.order or e != 0 or group.elements[e] != IDENTITY:
-        raise GroupConstructionError(f"{group.spec}: {n} elements, expected "
-                                     f"{group.spec.order}, identity first")
-    span = set(range(n))
-    if len(table) != n or any(len(line) != n or set(line) != span
-                              for line in (*table, *zip(*table))):
-        raise GroupConstructionError("the table is not a Latin square")
-    if any(table[e][j] != j or table[j][e] != j for j in range(n)):
-        raise GroupConstructionError("identity row/column is wrong")
-    inverse_of = tuple(row.index(e) for row in table)
-    if group.inverse_of != inverse_of or any(table[j][i] != e
-                                             for i, j in enumerate(inverse_of)):
-        raise GroupConstructionError("inverse map is wrong")
-    rng = random.Random(0)
-    for _ in range(min(200, n ** 3)):
-        a, b, c = (rng.randrange(n) for _ in range(3))
-        if table[table[a][b]][c] != table[a][table[b][c]]:
-            raise GroupConstructionError("associativity spot check failed")
-    orders = tuple(_element_order(table, e, i) for i in range(n))
-    keys = [_element_key(group.elements, orders, i) for i in range(n)]
-    if (group.element_orders != orders or group.exponent != lcm(*orders)
-            or any(a >= b for a, b in zip(keys, keys[1:]))):
-        raise GroupConstructionError("elements, orders or exponent are wrong")
-    classes = _canonical_classes(table, group.inverse_of, orders, group.elements)
-    if (group.classes != classes or group.class_of != _class_index(classes, n)
-            or group.class_reps != tuple(c[0] for c in classes)):
-        raise GroupConstructionError("classes or representatives are wrong")
-
-
 def build_group(spec: GroupSpec) -> FiniteSubgroup:
-    """Enumerate the group, order it canonically, and compute its classes."""
-    gens = _generators(spec)
-    elements, parents, right = _close_under_multiplication(gens)
+    """Enumerate the group and order its elements canonically."""
+    elements, parents, right = _close_under_multiplication(_generators(spec))
     n = len(elements)
     table = _full_table(parents, right)
-    orders = [_element_order(table, 0, i) for i in range(n)]
+    orders = [_element_order(table, i) for i in range(n)]
     perm = sorted(range(n), key=lambda i: _element_key(elements, orders, i))
     where = {old: new for new, old in enumerate(perm)}
-    elements = tuple(elements[old] for old in perm)
-    table = tuple(tuple(where[table[perm[i]][perm[j]]] for j in range(n))
-                  for i in range(n))
-    orders = tuple(orders[old] for old in perm)
-    inverse_of = tuple(row.index(0) for row in table)
-    classes = _canonical_classes(table, inverse_of, orders, elements)
     return FiniteSubgroup(
-        spec=spec,
-        elements=elements,
-        mult_table=table,
-        identity_index=0,
-        inverse_of=inverse_of,
-        element_orders=orders,
-        classes=classes,
-        class_of=_class_index(classes, n),
-        class_reps=tuple(c[0] for c in classes),
-        exponent=lcm(*orders),
-    )
+        spec, tuple(elements[old] for old in perm),
+        tuple(tuple(where[table[perm[i]][perm[j]]] for j in range(n))
+              for i in range(n)))
 
 
 def defining_character(group: FiniteSubgroup) -> tuple[CycNumber, ...]:

@@ -81,6 +81,16 @@ def test_a_value_times_a_root_of_unity_is_refused(text, root):
         dataclasses.replace(table, values=tuple(map(tuple, values)))
 
 
+@pytest.mark.parametrize("factor", [-1, root_of_unity(3)])
+def test_a_row_times_a_unit_is_refused(factor):
+    # the rows stay orthonormal, but the degree chi(1) is not a positive integer
+    _, table, _ = pipeline("binary-dihedral:3")
+    values = list(table.values)
+    values[-1] = tuple(v * factor for v in values[-1])
+    with pytest.raises(CharacterSolverError, match="degree is not a positive"):
+        dataclasses.replace(table, values=tuple(values))
+
+
 def test_a_value_with_a_non_integer_coefficient_is_refused():
     _, table, _ = pipeline("binary-tetrahedral")
     # half the trivial character pairs to I/2, which is not an integer matrix
@@ -155,7 +165,7 @@ def test_irreducible_rows_are_orthonormal():
 
 def test_table_json_round_trip():
     _, table, _ = pipeline("binary-tetrahedral")
-    again = CharacterTable.from_json_obj(table.to_json_obj())
+    again = CharacterTable.from_json_obj(table.to_json_obj(), table.group)
     assert again == table
 
 
@@ -164,7 +174,7 @@ def test_table_json_without_a_trivial_first_row_is_refused():
     obj = table.to_json_obj()
     obj["values"] = obj["values"][1:] + obj["values"][:1]
     with pytest.raises(CharacterSolverError, match="trivial character row"):
-        CharacterTable.from_json_obj(obj)
+        CharacterTable.from_json_obj(obj, table.group)
 
 
 def test_table_with_rows_out_of_canonical_order_is_refused():
@@ -173,4 +183,4 @@ def test_table_with_rows_out_of_canonical_order_is_refused():
     for key in ("degrees", "values"):
         obj[key][1], obj[key][2] = obj[key][2], obj[key][1]
     with pytest.raises(CharacterSolverError, match="canonical order"):
-        CharacterTable.from_json_obj(obj)
+        CharacterTable.from_json_obj(obj, table.group)

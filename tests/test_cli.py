@@ -68,6 +68,22 @@ def test_group_spec_above_the_closure_bound_exits_2(capsys):
     assert "closure bound" in err
 
 
+@pytest.mark.parametrize("spec", ["cyclic:61", "binary-dihedral:58"])
+def test_group_spec_above_the_class_budget_exits_2(capsys, monkeypatch, spec):
+    import mckay.cli
+    from mckay.groups import CLASS_BUDGET, GroupSpec
+
+    def refuse(*args):
+        raise AssertionError("the cache was read or a group was built")
+    monkeypatch.setattr(mckay.cli, "build_group", refuse)
+    monkeypatch.setattr(cache, "load", refuse)
+    code, out, err = invoke(capsys, "quiver", spec)
+    assert code == 2 and out == ""
+    assert "r = 61 conjugacy classes" in err and "class budget of 60" in err
+    for accepted in ("cyclic:30", "binary-dihedral:30"):
+        assert GroupSpec.parse(accepted).class_count <= CLASS_BUDGET
+
+
 def test_char_window_above_the_budget_exits_2(capsys):
     code, out, err = invoke(capsys, "char", "binary-icosahedral", "--hw",
                             "1,0,0,0,0,0,0,0,0", "--depth", "20")
@@ -295,9 +311,11 @@ def _reattached_leaves(payload):
     the rows are still the irreducible characters, but out of canonical
     order, and the quiver read from them has the two leaves reattached."""
     from mckay.chartab import CharacterTable
+    from mckay.groups import FiniteSubgroup
     from mckay.quiver import mckay_quiver
     table = payload["chartab"]
-    cartan = mckay_quiver(CharacterTable.from_json_obj(table))
+    cartan = mckay_quiver(CharacterTable.from_json_obj(
+        table, FiniteSubgroup.from_json_obj(payload["group"])))
     adj = cartan.adjacency
     leaves = [v for v, d in enumerate(cartan.delta)
               if d == 1 and v != cartan.trivial_vertex]
