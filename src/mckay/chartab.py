@@ -1,10 +1,12 @@
 """Exact character tables from a multiplication table.
 
-The class-algebra method of Burnside and Dixon: build the class-sum
-multiplication constants, simultaneously diagonalize the (commuting)
-class matrices over a prime field F_p with p = 1 mod exponent, read off
-central characters and degrees there, and lift each character value to
-an exact cyclotomic number through the discrete-log correspondence
+Dixon's method over a prime field F_p with p = 1 mod exponent: one
+seeded element X of the class algebra splits it.  The Krylov rows of
+right multiplication by X give, in one elimination, the minimal
+polynomial of X and, from its r roots, the r central characters; a
+draw that does not separate them is replaced by the next one.  Degrees
+follow from the central characters, and each value is lifted to an
+exact cyclotomic number through the discrete-log correspondence
 between F_p roots of unity and powers of zeta_exponent.  There is no
 floating point anywhere.  Every table, whether built here or read back
 from JSON, has its rows proved orthonormal by `pairings`, which
@@ -13,6 +15,7 @@ certifies integer character pairings in a second prime field.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -236,38 +239,6 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     return rows[:r], pivots
 
 
-def _nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
-    n = len(mat)
-    reduced, pivots = _rref(mat, p)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * n
-        vec[f] = 1
-        for row, piv in zip(reduced, pivots):
-            vec[piv] = (-row[f]) % p
-        basis.append(vec)
-    return basis
-
-
-def _charpoly(mat: list[list[int]], p: int) -> list[int]:
-    """Coefficients [1, c1, ..., cn] of det(xI - M) by Faddeev-LeVerrier."""
-    n = len(mat)
-    coeffs = [1]
-    m = [row[:] for row in mat]
-    for k in range(1, n + 1):
-        trace = sum(m[i][i] for i in range(n)) % p
-        c = (-trace * pow(k, -1, p)) % p
-        coeffs.append(c)
-        if k == n:
-            break
-        for i in range(n):
-            m[i][i] = (m[i][i] + c) % p
-        m = [[sum(mat[i][t] * m[t][j] for t in range(n)) % p for j in range(n)]
-             for i in range(n)]
-    return coeffs
-
-
 def _poly_roots(coeffs: list[int], p: int) -> list[int]:
     roots = []
     for x in range(p):
@@ -281,67 +252,44 @@ def _poly_roots(coeffs: list[int], p: int) -> list[int]:
 
 # -- the Dixon solve ---------------------------------------------------
 
-def _class_constants(group: FiniteSubgroup) -> list[list[list[int]]]:
-    """a[i][j][k]: number of ways a fixed element of class k factors as
-    (element of class i) * (element of class j)."""
-    r = len(group.classes)
+# Seeded draws of the splitting element X, and how many are tried.
+_SPLIT_SEED = 0
+_SPLIT_TRIES = 64
+
+
+def _split(group: FiniteSubgroup, x: list[int], p: int) -> list[list[int]] | None:
+    """The central characters, as values on the class sums, when
+    X = sum_k x_k C_k separates them; None when it does not.
+
+    M[j][l] = sum over a in C_j of x[class(a^-1 z_l)], z_l the
+    representative of class l, is right multiplication by X in the class
+    basis, so the Krylov rows u_t = u_0 M^t, u_0 the unit, are the
+    coordinates of X^t.  A central character omega is an algebra map, so
+    U omega = (lambda^0, ..., lambda^(r-1)) with lambda = omega(X) and U
+    the rows u_0 ... u_(r-1).  X separates the r characters exactly when
+    U is invertible; then u_r = c U gives the minimal polynomial
+    x^r - sum_t c_t x^t, whose r distinct roots in F_p are the lambdas.
+    """
+    r = len(x)
     table, class_of = group.mult_table, group.class_of
-    counts = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for i, ci in enumerate(group.classes):
-        for x in ci:
-            row = table[x]
-            for j, cj in enumerate(group.classes):
-                cij = counts[i][j]
-                for y in cj:
-                    cij[class_of[row[y]]] += 1
-    sizes = group.class_sizes
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                if counts[i][j][k] % sizes[k]:
-                    raise CharacterSolverError(
-                        "class products are not constant on classes")
-    return [[[counts[i][j][k] // sizes[k] for k in range(r)] for j in range(r)]
-            for i in range(r)]
-
-
-def _common_eigenlines(mats: list[list[list[int]]], p: int, r: int) -> list[list[int]]:
-    """Split F_p^r into the common one-dimensional eigenspaces of the
-    transposed class matrices, by iterated eigenspace refinement."""
-    identity = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    spaces = [(identity, list(range(r)))]
-    for mat in mats:
-        if all(len(rows) == 1 for rows, _ in spaces):
-            break
-        transposed = [[mat[j][i] for j in range(r)] for i in range(r)]
-        refined = []
-        for rows, pivots in spaces:
-            k = len(rows)
-            if k == 1:
-                refined.append((rows, pivots))
-                continue
-            image = [[sum(row[t] * transposed[t][j] for t in range(r)) % p
-                      for j in range(r)] for row in rows]
-            # coordinates relative to an rref basis are the pivot columns;
-            # transpose so that row eigenvectors become kernel vectors
-            restricted = [[image[j][pivots[i]] for j in range(k)] for i in range(k)]
-            eigenvalues = _poly_roots(_charpoly(restricted, p), p)
-            covered = 0
-            for lam in eigenvalues:
-                shifted = [[(restricted[i][j] - (lam if i == j else 0)) % p
-                            for j in range(k)] for i in range(k)]
-                basis = _nullspace(shifted, p)
-                sub = [[sum(vec[t] * rows[t][j] for t in range(k)) % p
-                        for j in range(r)] for vec in basis]
-                covered += len(basis)
-                refined.append(_rref(sub, p))
-            if covered != k:
-                raise CharacterSolverError(
-                    "class matrix is not diagonalizable over the chosen prime field")
-        spaces = refined
-    if not all(len(rows) == 1 for rows, _ in spaces) or len(spaces) != r:
-        raise CharacterSolverError("class algebra did not split into eigenlines")
-    return [rows[0] for rows, _ in spaces]
+    inverse_rows = [[table[group.inverse_of[a]] for a in cls] for cls in group.classes]
+    # M by columns: columns[l][j] = M[j][l]
+    columns = [[sum(x[class_of[row[z]]] for row in rows) % p for rows in inverse_rows]
+               for z in group.class_reps]
+    u = [[int(c == 0) for c in range(r)]]
+    for _ in range(r):
+        u.append([sum(map(mul, u[-1], col)) % p for col in columns])
+    reduced, pivots = _rref([row + [int(i == t) for i in range(r)]
+                             for t, row in enumerate(u[:r])], p)
+    if pivots != list(range(r)):
+        return None
+    inverse = [row[r:] for row in reduced]
+    c = [sum(map(mul, u[r], col)) % p for col in zip(*inverse)]
+    roots = _poly_roots([1, *(-ct % p for ct in reversed(c))], p)
+    if len(roots) != r:
+        return None
+    return [[sum(map(mul, row, powers)) % p for row in inverse]
+            for powers in ([pow(lam, t, p) for t in range(r)] for lam in roots)]
 
 
 def _lift_row(chi_fp: list[int], degree: int, power_class: list[list[int]],
@@ -376,8 +324,14 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
     e = group.exponent
     p = _dixon_prime(2 * isqrt(order ** 3), e)
 
-    # class 0 is the identity's, whose matrix is I and splits nothing
-    lines = _common_eigenlines(_class_constants(group)[1:], p, r)
+    rng = random.Random(_SPLIT_SEED)
+    for _ in range(_SPLIT_TRIES):
+        omegas = _split(group, [0, *(rng.randrange(p) for _ in range(r - 1))], p)
+        if omegas is not None:
+            break
+    else:
+        raise CharacterSolverError(
+            f"no seeded element separated the central characters in {_SPLIT_TRIES} draws")
 
     inverse_class = [group.class_of[group.inverse_of[rep]] for rep in group.class_reps]
     sizes = group.class_sizes
@@ -396,11 +350,7 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
     zeta_pows = [pow(zeta_fp, t, p) for t in range(e)]
 
     rows = []
-    for line in lines:
-        if line[0] == 0:
-            raise CharacterSolverError("central character vanishes on the identity")
-        scale = pow(line[0], -1, p)
-        omega = [v * scale % p for v in line]
+    for omega in omegas:
         norm = sum(omega[c] * omega[inverse_class[c]] * inv_sizes[c]
                    for c in range(r)) % p
         if norm == 0:

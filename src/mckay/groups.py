@@ -41,9 +41,11 @@ __all__ = [
 
 CLOSURE_BOUND = 2000
 # Largest class count r accepted by the CLI: the largest r whose
-# `quiver --no-cache` finishes in about 10 s.  At r = 60, binary-dihedral:57
-# took 9.8 s and cyclic:60 3.8 s (Python 3.11, 2 vCPU); the Dixon split
-# and lift grow about as r^4.
+# `quiver --no-cache` finished in about 10 s when it was set.  At r = 60,
+# binary-dihedral:57 takes 5.8 s and cyclic:60 1.9 s (Python 3.11,
+# 2 vCPU).  The Dixon split costs about r^3 per seeded draw; most of the
+# time is the lift, one length-ord(g) transform per (row, class), and the
+# two `pairings` checks, an r^3 product under each of phi(e) maps.
 CLASS_BUDGET = 60
 
 FAMILIES = (

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mckay import chartab
 from mckay.chartab import CharacterSolverError, CharacterTable, inner_product, pairings
 from mckay.cyclotomic import CycNumber, root_of_unity
 from mckay.groups import defining_character
@@ -184,3 +185,29 @@ def test_table_with_rows_out_of_canonical_order_is_refused():
         obj[key][1], obj[key][2] = obj[key][2], obj[key][1]
     with pytest.raises(CharacterSolverError, match="canonical order"):
         CharacterTable.from_json_obj(obj, table.group)
+
+
+def test_elements_that_do_not_separate_are_reported():
+    # binary-dihedral:2 has exponent 4; the class sum of the central -1
+    # is one class, with eigenvalues +-1 only
+    group, table, _ = pipeline("binary-dihedral:2")
+    p, r = 17, table.n_classes
+    minus_one = next(c for c, size in enumerate(group.class_sizes) if c and size == 1)
+    assert chartab._split(group, [0] * r, p) is None
+    assert chartab._split(group, [int(c == minus_one) for c in range(r)], p) is None
+    # on the classes of i, j and k weights 1, 2, 4 separate all five
+    x = [0] * r
+    for c, weight in zip((c for c, size in enumerate(group.class_sizes) if size == 2),
+                         (1, 2, 4)):
+        x[c] = weight
+    central = {tuple(size * int(v.rational_value()) * pow(d, -1, p) % p
+                     for size, v in zip(table.class_sizes, row))
+               for d, row in zip(table.degrees, table.values)}
+    assert set(map(tuple, chartab._split(group, x, p))) == central
+
+
+def test_a_split_that_never_separates_is_refused(monkeypatch):
+    group, _, _ = pipeline("binary-dihedral:2")
+    monkeypatch.setattr(chartab, "_SPLIT_TRIES", 0)
+    with pytest.raises(CharacterSolverError, match="separated"):
+        chartab.character_table(group)

@@ -55,6 +55,11 @@ DIGESTS = {
         "2023466bb063f5dca9b50e51d091b966f8f6fff85516419d7301370311d6f236",
         "45426c99dc50dc2bf7c1ad3e347554c710382d81cdc2e8c2088bc921ae40c375",
         "552db2e7fff540ad56f5dc694eccd1eb84bf664881319f179e3ee32562dc69a8"),
+    # the seeded split retries twice on cyclic:16 and binary-dihedral:10
+    "cyclic:16": (
+        "08bdf300e7b6e16a16bc256ccc6f48e23ebeda186278ae846ca2c500817e16bd",
+        "6dda22b8789235b2045f736688687025b423da2c9650f656a42edfb26b43efbf",
+        "b7b5865052b6ae53ba6d3b71548627db64f9a8e145e134b3171768518ad8efb9"),
     "binary-dihedral:2": (
         "6da442469a1bdf200524a831e98d7a158498a9f81a71977e5eabbf7616e01b3e",
         "dbdc3f7769f37a5a1131d2e5d67fb24d8df68b24d8505d23761db040cd5e4edc",
@@ -83,6 +88,10 @@ DIGESTS = {
         "d338fecafacb75d0f1e2d78d0018a32d47d7ab47c81fac4ab0f9853a3696161f",
         "141e07e37d2350543a469ba9797d4d4457596660522c6ded6e93b04e067f27e3",
         "35d4749919de149696814193b5831810fc7da7e996b6fb286cfd4289f1d1578b"),
+    "binary-dihedral:10": (
+        "654cd0b4a5dcc1829c3cf9ea40f401de46f6bb35df1c8adc924585a692a55d1f",
+        "adeb7df7c969bb5a69ee7438a1e4f27ad52f13c37ac8d9d1665a8caa53ccdeee",
+        "acfb7d25a7952d532542219ca25adcd60f761adbbd0544d2f81f44bca9f3958e"),
     "binary-tetrahedral": (
         "622a0e48e6769fe2633c98bb360948f1ecba544f742e92b23233673bccd62d4e",
         "d97efa60559fe9dd441c2dcca3184b7adfd2274340b004cfcdbdd716b5f58efb",
