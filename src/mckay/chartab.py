@@ -15,6 +15,7 @@ certifies integer character pairings in a second prime field.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,18 +95,14 @@ class CharacterTable:
     @staticmethod
     def from_json_obj(obj: dict, group: FiniteSubgroup) -> CharacterTable:
         """Rebuilt from the values on `group`, with every check run again;
-        the stored spec, degrees, class sizes and defining values must
-        equal the derived ones."""
-        if (any(type(x) is not int or x < 1
-                for x in (*obj["degrees"], *obj["class_sizes"]))
-                or type(obj["trivial_index"]) is not int):
-            raise ValueError("degrees and class sizes must be positive JSON "
-                             "integers, and the trivial index an integer")
+        the stored JSON must serialize to the rebuilt table's text, so the
+        spec, degrees, class sizes, defining values and every integer's
+        spelling must match."""
         table = CharacterTable(group, tuple(
             tuple(CycNumber.from_json_obj(v) for v in row) for row in obj["values"]))
-        if table.to_json_obj() != obj:
-            raise CharacterSolverError("stored spec, degrees, class sizes or defining "
-                                       "values differ from what the group gives")
+        if json.dumps(table.to_json_obj()) != json.dumps(obj):
+            raise CharacterSolverError("stored spec, degrees, class sizes, defining values "
+                                       "or JSON integers differ from what the group gives")
         return table
 
 

@@ -3,8 +3,9 @@
 Every subcommand emits deterministic JSON on stdout (DOT for
 `quiver --dot`); diagnostics go to stderr.  Exit codes: 0 success,
 2 usage error (bad arguments, an unknown group spec or one above the
-closure bound or the class budget, a multiplicity window or a strata
-listing over its budget), 1 internal invariant failure.
+class budget, a multiplicity window or a strata listing over its
+budget), 1 internal invariant failure.  `GroupSpec` refuses a spec over
+the class budget, so such a spec reads no cache and builds no group.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import cache
 from .chartab import CharacterTable, character_table
 from .cyclotomic import CycNumber, root_of_unity
 from .errors import InternalError, InvariantError
-from .groups import CLASS_BUDGET, FiniteSubgroup, GroupSpec, build_group
+from .groups import FiniteSubgroup, GroupSpec, build_group
 from .highest_weight import drinfeld_polynomials, freudenthal, weylkac_oracle
 from .quiver import CartanData, mckay_quiver, to_dot
 from .roots import reconstruct_g_dim, root_system_for
@@ -31,14 +32,10 @@ __all__ = ["run", "main"]
 def load_pipeline(spec: GroupSpec, use_cache: bool = True
                   ) -> tuple[FiniteSubgroup, CharacterTable, CartanData]:
     """Group, character table, and Cartan data for a spec, through the
-    on-disk cache unless told otherwise.  A spec with more classes than
-    CLASS_BUDGET is refused first.  The entry holds the group and the
-    table, which are rebuilt from their defining data with every check;
-    the quiver is always derived from the table.  An entry that fails to
-    load or to verify is recomputed and overwritten."""
-    if spec.class_count > CLASS_BUDGET:
-        raise ValueError(f"{spec} has r = {spec.class_count} conjugacy classes, "
-                         f"above the class budget of {CLASS_BUDGET}")
+    on-disk cache unless told otherwise.  The entry holds the group and
+    the table, which are rebuilt from their defining data with every
+    check; the quiver is always derived from the table.  An entry that
+    fails to load or to verify is recomputed and overwritten."""
     key = str(spec)
     payload = cache.load(key) if use_cache else None
     if payload is not None:

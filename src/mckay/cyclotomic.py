@@ -303,7 +303,7 @@ class CycNumber:
 
     @staticmethod
     def from_json_obj(obj: dict) -> CycNumber:
-        return CycNumber(obj["N"], {int(e): Fraction(c) for e, c in obj["terms"]})
+        return CycNumber(int(obj["N"]), {int(e): Fraction(c) for e, c in obj["terms"]})
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MultiplicityTable:
     """Nonzero weight multiplicities within a finite window; tables are
     equal when their framing, window and entries are."""
@@ -67,12 +67,6 @@ class MultiplicityTable:
 
     def multiplicity(self, v) -> int:
         return self.entries.get(tuple(v), 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiplicityTable):
-            return NotImplemented
-        return (self.framing == other.framing and self.depth == other.depth
-                and self.cap == other.cap and self.entries == other.entries)
 
     __hash__ = None  # the entries are a dict
 

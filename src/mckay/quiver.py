@@ -14,6 +14,7 @@ diagram, branch vertex carrying the fork).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,18 +80,15 @@ class CartanData:
     @staticmethod
     def from_json_obj(obj: dict) -> CartanData:
         """Rebuilt from the adjacency, delta and trivial vertex, with every
-        invariant checked again; the stored Cartan matrix, type and
-        labeling must equal the recomputed ones."""
-        if any(type(x) is not int for x in (
-                obj["trivial_vertex"], *obj["delta"],
-                *(a for row in obj["adjacency"] for a in row))):
-            raise ValueError("adjacency, delta and the trivial vertex must be "
-                             "JSON integers")
-        cd = _verified_cartan_data(tuple(tuple(r) for r in obj["adjacency"]),
-                                   tuple(obj["delta"]), obj["trivial_vertex"])
-        if cd.to_json_obj() != obj:
-            raise InvariantError("stored Cartan data differ from what their "
-                                 "quiver gives")
+        invariant checked again; the stored JSON must serialize to the
+        rebuilt data's text, so the Cartan matrix, type, labeling and
+        every integer's spelling must match."""
+        cd = _verified_cartan_data(
+            tuple(tuple(int(a) for a in row) for row in obj["adjacency"]),
+            tuple(int(d) for d in obj["delta"]), int(obj["trivial_vertex"]))
+        if json.dumps(cd.to_json_obj()) != json.dumps(obj):
+            raise InvariantError("stored Cartan data or JSON integers differ from "
+                                 "what their quiver gives")
         return cd
 
 

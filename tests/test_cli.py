@@ -62,14 +62,12 @@ def test_unknown_spec_exits_2_and_lists_families(capsys):
     assert "cyclic" in err and "binary-icosahedral" in err
 
 
-def test_group_spec_above_the_closure_bound_exits_2(capsys):
-    code, out, err = invoke(capsys, "group", "cyclic:2500")
-    assert code == 2 and out == ""
-    assert "closure bound" in err
-
-
-@pytest.mark.parametrize("spec", ["cyclic:61", "binary-dihedral:58"])
-def test_group_spec_above_the_class_budget_exits_2(capsys, monkeypatch, spec):
+@pytest.mark.parametrize("command,spec,r", [("quiver", "cyclic:61", 61),
+                                            ("quiver", "binary-dihedral:58", 61),
+                                            ("group", "cyclic:2500", 2500)],
+                         ids=["cyclic:61", "binary-dihedral:58", "cyclic:2500"])
+def test_group_spec_above_the_class_budget_exits_2(capsys, monkeypatch,
+                                                   command, spec, r):
     import mckay.cli
     from mckay.groups import CLASS_BUDGET, GroupSpec
 
@@ -77,9 +75,9 @@ def test_group_spec_above_the_class_budget_exits_2(capsys, monkeypatch, spec):
         raise AssertionError("the cache was read or a group was built")
     monkeypatch.setattr(mckay.cli, "build_group", refuse)
     monkeypatch.setattr(cache, "load", refuse)
-    code, out, err = invoke(capsys, "quiver", spec)
+    code, out, err = invoke(capsys, command, spec)
     assert code == 2 and out == ""
-    assert "r = 61 conjugacy classes" in err and "class budget of 60" in err
+    assert f"r = {r} conjugacy classes" in err and "class budget of 60" in err
     for accepted in ("cyclic:30", "binary-dihedral:30"):
         assert GroupSpec.parse(accepted).class_count <= CLASS_BUDGET
 
@@ -381,6 +379,44 @@ def _true_for_one_in_group(payload):
 def test_cache_entries_that_disagree_with_their_group_are_recomputed(
         capsys, command, spec, damage):
     _assert_damaged_entry_is_recomputed(capsys, command, spec, damage)
+
+
+def _integer_leaves(node, path=()):
+    """Paths to the integer leaves of a JSON tree."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+            yield from _integer_leaves(child, (*path, key))
+    elif type(node) is int:
+        yield path
+
+
+def test_integers_respelled_in_an_entry_are_recomputed(capsys):
+    """Each integer of a cached payload, written back as a float, or as
+    true or false where it is 1 or 0, makes the entry a miss: the JSON
+    spelling must be the one a fresh run writes, down to the conductor
+    of every cyclotomic value."""
+    code, fresh, _ = invoke(capsys, "group", "cyclic:3", "--no-cache")
+    assert code == 0
+    assert invoke(capsys, "group", "cyclic:3")[0] == 0
+    path = cache.entry_path("cyclic:3")
+    good = path.read_text()
+    entry = json.loads(good)
+    leaves = list(_integer_leaves(entry["payload"], ("payload",)))
+    assert ("payload", "group", "elements", 1, 0, "N") in leaves
+    assert ("payload", "chartab", "values", 1, 1, "N") in leaves
+    for *keys, last in leaves:
+        node = entry
+        for key in keys:
+            node = node[key]
+        value = node[last]
+        for spelling in [float(value)] + ([bool(value)] if value in (0, 1) else []):
+            node[last] = spelling
+            path.write_text(json.dumps(entry, separators=(",", ":")))
+            code, out, err = invoke(capsys, "group", "cyclic:3")
+            assert (code, out, err) == (0, fresh, ""), (keys, last, spelling)
+            assert path.read_text() == good, (keys, last, spelling)
+        node[last] = value
 
 
 def test_unusable_cache_directory_warns_and_computes(capsys, tmp_path,

@@ -1,6 +1,6 @@
 import pytest
 
-from mckay.groups import (CLOSURE_BOUND, GroupConstructionError, GroupElement,
+from mckay.groups import (CLASS_BUDGET, GroupConstructionError, GroupElement,
                           GroupSpec, build_group, defining_character,
                           _close_under_multiplication)
 
@@ -19,9 +19,12 @@ def test_spec_parsing_and_orders():
         GroupSpec.parse("cyclic:1")
     with pytest.raises(ValueError):
         GroupSpec.parse("binary-tetrahedral:3")
-    assert GroupSpec.parse("binary-dihedral:500").order == CLOSURE_BOUND
-    with pytest.raises(ValueError, match="closure bound"):
-        GroupSpec.parse("binary-dihedral:501")
+    for accepted in ("binary-dihedral:57", "cyclic:60"):
+        assert GroupSpec.parse(accepted).class_count == CLASS_BUDGET
+    for refused in ("binary-dihedral:58", "cyclic:61"):
+        with pytest.raises(ValueError, match=f"r = {CLASS_BUDGET + 1} conjugacy "
+                           f"classes, above the class budget of {CLASS_BUDGET}"):
+            GroupSpec.parse(refused)
 
 
 def test_cyclic_2_is_plus_minus_identity():
@@ -126,7 +129,7 @@ def test_inverse_map():
 def test_closure_bound_catches_infinite_groups():
     shear = GroupElement(1, 1, 0, 1)
     with pytest.raises(GroupConstructionError):
-        _close_under_multiplication([shear])
+        _close_under_multiplication([shear], 100)
 
 
 def test_group_json_round_trip():
