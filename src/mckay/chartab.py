@@ -9,8 +9,9 @@ follow from the central characters, and each value is lifted to an
 exact cyclotomic number through the discrete-log correspondence
 between F_p roots of unity and powers of zeta_exponent.  There is no
 floating point anywhere.  Every table, whether built here or read back
-from JSON, has its rows proved orthonormal by `pairings`, which
-certifies integer character pairings in a second prime field.
+from JSON, is reduced once more, into a prime field of its own: one
+`pairings` call there proves its rows orthonormal and gives the McKay
+multiplicities, both certified exact integers.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import mul
 
 from .cyclotomic import CycNumber
 from .errors import InternalError
-from .groups import FiniteSubgroup, defining_character
+from .groups import FiniteSubgroup, defining_character, read_value
 
 __all__ = ["CharacterTable", "CharacterSolverError", "character_table", "inner_product",
            "pairings"]
@@ -39,9 +40,9 @@ class CharacterTable:
     """The irreducible characters of a group, one row per character and
     one column per class, rows sorted with the trivial character first
     and then by (degree, lexicographic values); the constructor refuses
-    any other order, and derives the degrees, the class sizes and the
-    defining values, the trace of the defining 2-dimensional
-    representation on each class, from which the McKay quiver is built.
+    any other order, and derives the degrees, the class sizes, the
+    defining values (the trace of the defining representation on each
+    class) and the McKay adjacency, from which the quiver is built.
     """
 
     group: FiniteSubgroup
@@ -49,6 +50,7 @@ class CharacterTable:
     degrees: tuple[int, ...] = field(init=False)
     class_sizes: tuple[int, ...] = field(init=False)
     defining_values: tuple[CycNumber, ...] = field(init=False)
+    mckay_adjacency: tuple[tuple[int, ...], ...] = field(init=False)
 
     trivial_index = 0  # not a field: the canonical order puts it first
 
@@ -67,9 +69,10 @@ class CharacterTable:
         # the column relations X* X = |G| D^-1 (at the identity class,
         # sum d^2 = |G|)
         r = self.n_classes
-        if pairings(self, self.values[0]) != tuple(
-                tuple(int(i == j) for j in range(r)) for i in range(r)):
+        rows, adjacency = pairings(self, (self.values[0], self.defining_values))
+        if rows != tuple(tuple(int(i == j) for j in range(r)) for i in range(r)):
             raise CharacterSolverError("character rows are not orthonormal")
+        object.__setattr__(self, "mckay_adjacency", adjacency)
         keys = [_row_key(d, row) for d, row in zip(self.degrees, self.values)]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise CharacterSolverError("character rows are not in canonical order")
@@ -99,7 +102,7 @@ class CharacterTable:
         spec, degrees, class sizes, defining values and every integer's
         spelling must match."""
         table = CharacterTable(group, tuple(
-            tuple(CycNumber.from_json_obj(v) for v in row) for row in obj["values"]))
+            tuple(read_value(v, group.order) for v in row) for row in obj["values"]))
         if json.dumps(table.to_json_obj()) != json.dumps(obj):
             raise CharacterSolverError("stored spec, degrees, class sizes, defining values "
                                        "or JSON integers differ from what the group gives")
@@ -123,69 +126,75 @@ def inner_product(chi, psi, group: FiniteSubgroup) -> CycNumber:
     return total * Fraction(1, group.order)
 
 
-def pairings(table: CharacterTable, chi) -> tuple[tuple[int, ...], ...]:
-    """The integer matrix a_ij = (1/|G|) sum_c |C_c| chi(c) chi_i(c)
-    conj(chi_j(c)), every entry proved exact; chi(c) = 1 gives the row
-    inner products, the defining character the McKay multiplicities.
+def pairings(table: CharacterTable, chis) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """One integer matrix a_ij = (1/|G|) sum_c |C_c| chi(c) chi_i(c)
+    conj(chi_j(c)) per class function chi in `chis`, all proved exact in
+    one prime field; chi = 1 gives the row inner products, the defining
+    character the McKay multiplicities.
 
     Proof.  Each value x must have integer canonical coefficients, so it
-    lies in Z[zeta_e], e the lcm of the conductors, and |s(x)| <= L1(x),
-    the sum of the |coefficients|, under every complex embedding s (each
-    basis element is a root of unity).  Let B = L1(chi) L^2, with L1(chi)
-    and L the largest L1 of a value of chi and of the table; as class
-    sizes are positive, |s(sum)| <= |G|B.  Let P = 1 (mod e) be the
+    lies in Z[zeta_e], e the lcm of the exponent and the conductors, and
+    |s(x)| <= L1(x), the sum of the |coefficients|, under every complex
+    embedding s (each basis element is a root of unity).  Let B = L1 L^2,
+    L1 and L the largest L1 of a value of any chi and of the table; as
+    class sizes are positive, |s(sum)| <= |G|B.  Let P = 1 (mod e) be the
     smallest prime above 2|G|B.  P splits completely in Q(zeta_e): the
-    phi(e) maps zeta_e -> w, w a primitive e-th root in F_P, are the
-    reductions modulo the primes above P, and conjugation is the map at
-    w^-1.  a_ij is the residue of sum/|G|, required to be one value in
-    [0, B] under every map.  Then y = sum - |G| a_ij lies in every prime
-    above P, so P^phi(e) divides its norm, while |s(y)| <= 2|G|B < P
-    under every s; hence N(y) = 0 and y = 0.
+    phi(e) maps zeta_e -> w^u, u prime to e and w a primitive e-th root
+    in F_P, are the reductions modulo the primes above P, and conjugation
+    turns the map u into the map -u.  Each value's image under the map u
+    must be the map-1 image of the same function on the class of g^u, g
+    in the value's class (for a character, chi(g^u) = sigma_u(chi(g))).
+    As g -> g^u permutes the classes and keeps their sizes, each sum then
+    has its map-1 residue under every map, so one product, under the map
+    1, gives a_ij, the residue of sum/|G|, required to lie in [0, B].
+    Then y = sum - |G| a_ij lies in every prime above P, so P^phi(e)
+    divides its norm, while |s(y)| <= 2|G|B < P under every s; hence
+    N(y) = 0 and y = 0.
     """
-    values = (tuple(map(CycNumber.coerce, chi)), *table.values)
-    r = table.n_classes
-    if len(values) != r + 1 or any(len(row) != r for row in values):
+    functions = [tuple(map(CycNumber.coerce, chi)) for chi in chis]
+    values = (*functions, *table.values)
+    group, r, k = table.group, table.n_classes, len(functions)
+    if len(values) != r + k or any(len(row) != r for row in values):
         raise ValueError("class function length does not match the class count")
     if any(c.denominator != 1 for row in values for v in row for _, c in v.terms):
         raise CharacterSolverError("a character value has a non-integer coefficient")
     l1 = [max(sum(abs(c.numerator) for _, c in v.terms) for v in row)
           for row in values]
-    bound = l1[0] * max(l1[1:]) ** 2
-    order = table.group_order
-    e = lcm(*(v.conductor for row in values for v in row))
-    p = _dixon_prime(2 * order * bound, e)
+    bound = max(l1[:k]) * max(l1[k:]) ** 2
+    e = lcm(group.exponent, *(v.conductor for row in values for v in row))
+    p = _dixon_prime(2 * group.order * bound, e)
     zeta = pow(_primitive_root(p), (p - 1) // e, p)
     powers = [pow(zeta, t, p) for t in range(e)]
-    images = {k: [[sum(c.numerator * powers[t * k * (e // v.conductor) % e]
-                       for t, c in v.terms) % p for v in row] for row in values]
-              for k in range(e) if gcd(k, e) == 1}
-    inv_order = pow(order, -1, p)
-    residues = set()
-    for k, (weights, *rows) in images.items():
-        weights = [s * x * inv_order % p for s, x in zip(table.class_sizes, weights)]
-        weighted = [[w * x % p for w, x in zip(weights, row)] for row in rows]
-        residues.add(tuple(tuple(sum(map(mul, row_i, row_j)) % p
-                                 for row_j in images[-k % e][1:])
-                           for row_i in weighted))
-    matrix = residues.pop()
-    if residues or any(a > bound for row in matrix for a in row):
+    # each distinct value is reduced once per map, then read off by index
+    distinct = {}
+    cells = [[distinct.setdefault(v, len(distinct)) for v in row] for row in values]
+    images = {}
+    for u in range(e):
+        if gcd(u, e) == 1:
+            image = [sum(c.numerator * powers[t * u * (e // v.conductor) % e]
+                         for t, c in v.terms) % p for v in distinct]
+            images[u] = [[image[i] for i in row] for row in cells]
+    for u, rows in images.items():
+        moved = [classes[u % len(classes)] for classes in group.power_classes]
+        if any(row != [first[c] for c in moved] for row, first in zip(rows, images[1])):
+            raise CharacterSolverError("a class function is not Galois-equivariant: "
+                                       "chi(g^u) and sigma_u(chi(g)) differ mod P")
+    inv_order = pow(group.order, -1, p)
+    conj = [[s * inv_order * x % p for s, x in zip(table.class_sizes, row)]
+            for row in images[e - 1][k:]]
+    matrices = tuple(tuple(tuple(sum(map(mul, row_i, row_j)) % p for row_j in conj)
+                           for row_i in ([w * x % p for w, x in zip(chi, row)]
+                                         for row in images[1][k:]))
+                     for chi in images[1][:k])
+    if any(a > bound for matrix in matrices for row in matrix for a in row):
         raise CharacterSolverError("a character pairing is not an integer in [0, B]")
-    return matrix
+    return matrices
 
 
 # -- prime field helpers (tiny dense linear algebra mod p) -------------
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _dixon_prime(threshold: int, modulus: int) -> int:
@@ -289,16 +298,16 @@ def _split(group: FiniteSubgroup, x: list[int], p: int) -> list[list[int]] | Non
             for powers in ([pow(lam, t, p) for t in range(r)] for lam in roots)]
 
 
-def _lift_row(chi_fp: list[int], degree: int, power_class: list[list[int]],
+def _lift_row(chi_fp: list[int], degree: int, power_classes: tuple[tuple[int, ...], ...],
               zeta_pows: list[int], p: int) -> list[CycNumber]:
     """Exact values of a character from its values in F_p.  On a class
     whose elements g have order o, the eigenvalue zeta_o^t of g occurs
-    m_t = (1/o) sum_s chi(g^s) zeta_o^(-st) times; power_class[c] lists
+    m_t = (1/o) sum_s chi(g^s) zeta_o^(-st) times; power_classes[c] lists
     the classes of g^s for s < o, and zeta_pows the powers of zeta_e in
     F_p, e the exponent, so that zeta_o = zeta_e^(e/o)."""
     e = len(zeta_pows)
     values = []
-    for powers in power_class:
+    for powers in power_classes:
         o = len(powers)
         roots = zeta_pows[::e // o]
         inv_o = pow(o, -1, p)
@@ -330,25 +339,15 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
         raise CharacterSolverError(
             f"no seeded element separated the central characters in {_SPLIT_TRIES} draws")
 
-    inverse_class = [group.class_of[group.inverse_of[rep]] for rep in group.class_reps]
-    sizes = group.class_sizes
-    inv_sizes = [pow(s, -1, p) for s in sizes]
-
-    power_class = []
-    for rep in group.class_reps:
-        row = []
-        x = group.identity_index
-        for _ in range(group.element_orders[rep]):
-            row.append(group.class_of[x])
-            x = group.mult_table[x][rep]
-        power_class.append(row)
+    inv_sizes = [pow(s, -1, p) for s in group.class_sizes]
 
     zeta_fp = pow(_primitive_root(p), (p - 1) // e, p)
     zeta_pows = [pow(zeta_fp, t, p) for t in range(e)]
 
     rows = []
     for omega in omegas:
-        norm = sum(omega[c] * omega[inverse_class[c]] * inv_sizes[c]
+        # power_classes[c][-1] is the class of g^-1
+        norm = sum(omega[c] * omega[group.power_classes[c][-1]] * inv_sizes[c]
                    for c in range(r)) % p
         if norm == 0:
             raise CharacterSolverError("degenerate central character norm")
@@ -360,7 +359,8 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
             raise CharacterSolverError("no degree d <= sqrt|G| has d^2 = |G|/norm mod p")
         # chi(g) = d * omega(g) / |C(g)| in F_p
         chi_fp = [degree * omega[c] % p * inv_sizes[c] % p for c in range(r)]
-        rows.append((degree, _lift_row(chi_fp, degree, power_class, zeta_pows, p)))
+        rows.append((degree,
+                     _lift_row(chi_fp, degree, group.power_classes, zeta_pows, p)))
 
     rows.sort(key=lambda item: _row_key(*item))
     return CharacterTable(group, tuple(tuple(vals) for _, vals in rows))

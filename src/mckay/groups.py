@@ -36,16 +36,17 @@ __all__ = [
     "GroupConstructionError",
     "build_group",
     "defining_character",
+    "read_value",
     "FAMILIES",
 ]
 
 # Largest class count r a GroupSpec accepts, in the library as in the
 # CLI, so no accepted spec runs away: the largest r whose
 # `quiver --no-cache` finished in about 10 s when it was set.  At r = 60,
-# binary-dihedral:57 takes 5.8 s and cyclic:60 1.9 s (Python 3.11,
-# 2 vCPU).  The Dixon split costs about r^3 per seeded draw; most of the
-# time is the lift, one length-ord(g) transform per (row, class), and the
-# two `pairings` checks, an r^3 product under each of phi(e) maps.
+# binary-dihedral:57 takes 1.6-3.5 s and cyclic:60 0.7-1.4 s (Python 3.11,
+# 2 vCPU, runs at different machine load).  Most of it is the lift, one
+# length-ord(g) transform per (row, class); the Dixon split costs about r^3
+# per seeded draw, and the one `pairings` check an r^3 product per function.
 CLASS_BUDGET = 60
 
 FAMILIES = (
@@ -173,10 +174,6 @@ class GroupElement:
     def to_json_obj(self) -> list:
         return [e.to_json_obj() for e in self.entries]
 
-    @staticmethod
-    def from_json_obj(obj: list) -> GroupElement:
-        return GroupElement(*(CycNumber.from_json_obj(e) for e in obj))
-
     def __repr__(self) -> str:
         a, b, c, d = self.entries
         return f"GroupElement([[{a}, {b}], [{c}, {d}]])"
@@ -220,7 +217,9 @@ def _generators(spec: GroupSpec) -> list[GroupElement]:
 class FiniteSubgroup:
     """A fully enumerated subgroup of SL2(C): its elements and their
     multiplication table.  The constructor checks the group law and
-    derives the inverses, element orders, exponent and classes.
+    derives the inverses, element orders, exponent, classes and power
+    map: power_classes[c][s] is the class of g^s, g the representative
+    of class c and s < ord(g).
 
     Elements are ordered with the identity first, then by (element
     order, canonical serialization); classes by (representative order,
@@ -238,6 +237,7 @@ class FiniteSubgroup:
     classes: tuple[tuple[int, ...], ...] = field(init=False)
     class_of: tuple[int, ...] = field(init=False)
     class_reps: tuple[int, ...] = field(init=False)
+    power_classes: tuple[tuple[int, ...], ...] = field(init=False)
 
     identity_index = 0  # not a field: the canonical order puts it first
 
@@ -263,7 +263,8 @@ class FiniteSubgroup:
             a, b, c = (rng.randrange(n) for _ in range(3))
             if table[table[a][b]][c] != table[a][table[b][c]]:
                 raise GroupConstructionError("associativity spot check failed")
-        orders = tuple(_element_order(table, i) for i in range(n))
+        powers = [_powers(table, i) for i in range(n)]
+        orders = tuple(map(len, powers))
         keys = [_element_key(elements, orders, i) for i in range(n)]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise GroupConstructionError("elements, orders and table are not "
@@ -273,10 +274,12 @@ class FiniteSubgroup:
         for ci, members in enumerate(classes):
             for m in members:
                 class_of[m] = ci
+        reps = tuple(c[0] for c in classes)
+        power_classes = tuple(tuple(class_of[x] for x in powers[rep]) for rep in reps)
         for name, value in (("inverse_of", inverse_of), ("element_orders", orders),
                             ("exponent", lcm(*orders)), ("classes", classes),
-                            ("class_of", tuple(class_of)),
-                            ("class_reps", tuple(c[0] for c in classes))):
+                            ("class_of", tuple(class_of)), ("class_reps", reps),
+                            ("power_classes", power_classes)):
             object.__setattr__(self, name, value)
 
     @property
@@ -286,17 +289,6 @@ class FiniteSubgroup:
     @property
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
-
-    def power(self, i: int, k: int) -> int:
-        out = self.identity_index
-        step = i
-        k %= self.element_orders[i]
-        while k:
-            if k & 1:
-                out = self.mult_table[out][step]
-            step = self.mult_table[step][step]
-            k >>= 1
-        return out
 
     def to_json_obj(self) -> dict:
         return {
@@ -317,9 +309,10 @@ class FiniteSubgroup:
         """Rebuilt from the spec, elements and table, with every check run
         again; the stored JSON must serialize to the rebuilt group's text,
         so the derived fields and every integer's spelling must match."""
+        n = len(obj["elements"])  # the constructor checks it against the spec
         group = FiniteSubgroup(
             GroupSpec.parse(obj["spec"]),
-            tuple(GroupElement.from_json_obj(e) for e in obj["elements"]),
+            tuple(GroupElement(*(read_value(x, n) for x in e)) for e in obj["elements"]),
             tuple(tuple(int(x) for x in row) for row in obj["mult_table"]))
         if json.dumps(group.to_json_obj()) != json.dumps(obj):
             raise GroupConstructionError("stored inverses, orders, classes, exponent "
@@ -375,15 +368,13 @@ def _full_table(parents, right) -> list[list[int]]:
     return [list(row) for row in zip(*columns)]
 
 
-def _element_order(table, i: int) -> int:
-    """Order of element i under a table whose identity is element 0."""
-    order, x = 1, i
-    while x:
-        x = table[x][i]
-        order += 1
-        if order > len(table):
-            raise GroupConstructionError("element order exceeds group order")
-    return order
+def _powers(table, i: int) -> list[int]:
+    """i^s for s < ord(i), under a Latin-square table whose identity is
+    element 0: x -> x i permutes the elements, so the walk returns to 0."""
+    powers = [0]
+    while x := table[powers[-1]][i]:
+        powers.append(x)
+    return powers
 
 
 def _element_key(elements, orders, i: int) -> tuple:
@@ -413,13 +404,21 @@ def build_group(spec: GroupSpec) -> FiniteSubgroup:
     elements, parents, right = _close_under_multiplication(_generators(spec), spec.order)
     n = len(elements)
     table = _full_table(parents, right)
-    orders = [_element_order(table, i) for i in range(n)]
+    orders = [len(_powers(table, i)) for i in range(n)]
     perm = sorted(range(n), key=lambda i: _element_key(elements, orders, i))
     where = {old: new for new, old in enumerate(perm)}
     return FiniteSubgroup(
         spec, tuple(elements[old] for old in perm),
         tuple(tuple(where[table[perm[i]][perm[j]]] for j in range(n))
               for i in range(n)))
+
+
+def read_value(obj: dict, order: int) -> CycNumber:
+    """A stored value of a group of `order` elements or of its table; its
+    conductor must divide the order, checked before a term is expanded."""
+    if order % int(obj["N"]):
+        raise ValueError(f"conductor {obj['N']} does not divide the group order {order}")
+    return CycNumber.from_json_obj(obj)
 
 
 def defining_character(group: FiniteSubgroup) -> tuple[CycNumber, ...]:

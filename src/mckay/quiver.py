@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chartab import CharacterTable, pairings
+from .chartab import CharacterTable
 from .errors import InternalError, InvariantError
 from .groups import GroupSpec
 
@@ -252,11 +252,10 @@ def _delete_vertex(matrix: Matrix, vertex: int) -> Matrix:
 # -- the quiver itself -------------------------------------------------
 
 def mckay_quiver(table: CharacterTable) -> CartanData:
-    """Adjacency a_ij = multiplicity of character j in (defining * i)."""
-    if table.group_order < 2:
-        raise ValueError("the catalog starts at groups of order 2")
-    return _verified_cartan_data(pairings(table, table.defining_values),
-                                 tuple(table.degrees), table.trivial_index)
+    """Adjacency a_ij = multiplicity of character j in (defining * i),
+    as the table's constructor proved it."""
+    return _verified_cartan_data(table.mckay_adjacency, tuple(table.degrees),
+                                 table.trivial_index)
 
 
 def _verified_cartan_data(adjacency: Matrix, delta: tuple[int, ...],

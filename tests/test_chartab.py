@@ -60,10 +60,12 @@ def test_column_orthogonality_exact(text):
 
 @pytest.mark.parametrize("text", ALL_SPECS)
 def test_pairings_agree_with_inner_product(text):
+    # one call, so both matrices come from the same prime field
     group, table, _ = pipeline(text)
-    for chi in (table.values[0], table.defining_values):
+    chis = (table.values[0], table.defining_values)
+    for chi, matrix in zip(chis, pairings(table, chis), strict=True):
         products = [tuple(a * b for a, b in zip(chi, row)) for row in table.values]
-        assert pairings(table, chi) == tuple(
+        assert matrix == tuple(
             tuple(inner_product(product, row, group) for row in table.values)
             for product in products)
 
@@ -78,7 +80,7 @@ def test_a_value_times_a_root_of_unity_is_refused(text, root):
                 for c in range(1, len(values)) if values[i][c])
     values[i][c] = values[i][c] * root_of_unity(root)
     with pytest.raises(CharacterSolverError,
-                       match="not orthonormal|not an integer"):
+                       match="not orthonormal|not an integer|Galois-equivariant"):
         dataclasses.replace(table, values=tuple(map(tuple, values)))
 
 
@@ -96,16 +98,18 @@ def test_a_value_with_a_non_integer_coefficient_is_refused():
     _, table, _ = pipeline("binary-tetrahedral")
     # half the trivial character pairs to I/2, which is not an integer matrix
     with pytest.raises(CharacterSolverError, match="non-integer coefficient"):
-        pairings(table, (Fraction(1, 2),) * table.n_classes)
+        pairings(table, [(Fraction(1, 2),) * table.n_classes])
 
 
 def test_pairings_outside_the_certified_range_are_refused():
     _, table, _ = pipeline("cyclic:3")
     # -1 has residue P - 1 > B; 74 - 2 zeta_3 has residues 149 and 1 under
-    # the two maps to F_5479, both in [0, B] with B = 912
+    # the two maps to F_5479, both in [0, B] with B = 912, but its two
+    # images on the identity class differ
     for x in (CycNumber.coerce(-1), 74 - 2 * root_of_unity(3)):
-        with pytest.raises(CharacterSolverError, match="not an integer in"):
-            pairings(table, (3 * x, 0, 0))
+        with pytest.raises(CharacterSolverError,
+                           match="not an integer in|Galois-equivariant"):
+            pairings(table, [(3 * x, 0, 0)])
 
 
 def test_trivial_row_first_and_degree_sorted():
@@ -184,6 +188,15 @@ def test_table_with_rows_out_of_canonical_order_is_refused():
     for key in ("degrees", "values"):
         obj[key][1], obj[key][2] = obj[key][2], obj[key][1]
     with pytest.raises(CharacterSolverError, match="canonical order"):
+        CharacterTable.from_json_obj(obj, table.group)
+
+
+def test_a_runaway_conductor_in_table_json_is_refused():
+    # refused before its 10**9 + 6 terms are expanded
+    _, table, _ = pipeline("cyclic:3")
+    obj = table.to_json_obj()
+    obj["values"][1][1] = {"N": 10**9 + 7, "terms": [[10**9 + 6, "1"]]}
+    with pytest.raises(ValueError, match="does not divide the group order 3"):
         CharacterTable.from_json_obj(obj, table.group)
 
 

@@ -381,6 +381,26 @@ def test_cache_entries_that_disagree_with_their_group_are_recomputed(
     _assert_damaged_entry_is_recomputed(capsys, command, spec, damage)
 
 
+@pytest.mark.parametrize("spec,a,b", [("cyclic:5", 3, 4), ("cyclic:8", 5, 6)])
+def test_cached_columns_swapped_against_the_power_map_are_recomputed(capsys, spec, a, b):
+    """Columns a and b have equal class sizes and traces, so only the
+    power map of the group tells the swapped table from the true one."""
+    def swap_columns(payload):
+        table = payload["chartab"]
+        for row in (*table["values"], table["defining_values"]):
+            row[a], row[b] = row[b], row[a]
+    _assert_damaged_entry_is_recomputed(capsys, "chartab", spec, swap_columns)
+
+
+def _runaway_conductor(payload):
+    payload["chartab"]["values"][1][1] = {"N": 10**9 + 7, "terms": [[10**9 + 6, "1"]]}
+
+
+def test_a_cached_runaway_conductor_is_recomputed(capsys):
+    _assert_damaged_entry_is_recomputed(capsys, "chartab", "cyclic:3",
+                                        _runaway_conductor)
+
+
 def _integer_leaves(node, path=()):
     """Paths to the integer leaves of a JSON tree."""
     if isinstance(node, (dict, list)):

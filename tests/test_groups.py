@@ -100,9 +100,26 @@ def test_class_partition_and_sizes():
 def test_exponent_annihilates_every_element():
     for text in ["cyclic:6", "binary-dihedral:3", "binary-octahedral"]:
         g, _, _ = pipeline(text)
-        assert all(g.power(i, g.exponent) == g.identity_index
-                   for i in range(g.order))
+        for i in range(g.order):
+            x = g.identity_index
+            for _ in range(g.exponent):
+                x = g.mult_table[x][i]
+            assert x == g.identity_index
         assert all(g.exponent % o == 0 for o in g.element_orders)
+
+
+@pytest.mark.parametrize("text", ["cyclic:6", "binary-dihedral:3", "binary-octahedral"])
+def test_power_classes_against_exact_matrix_powers(text):
+    g, _, _ = pipeline(text)
+    index = {e: i for i, e in enumerate(g.elements)}
+    for c, rep in enumerate(g.class_reps):
+        x = g.elements[rep]
+        power = g.elements[g.identity_index]
+        expected = []
+        while not expected or power != g.elements[g.identity_index]:
+            expected.append(g.class_of[index[power]])
+            power = power * x
+        assert g.power_classes[c] == tuple(expected)
 
 
 def test_defining_character_is_real_on_every_class():
@@ -144,6 +161,10 @@ def _swap(items, a, b):
     items[a], items[b] = items[b], items[a]
 
 
+def _runaway_conductor(obj):
+    obj["elements"][1][0] = {"N": 10**9 + 7, "terms": [[10**9 + 6, "1"]]}
+
+
 @pytest.mark.parametrize("damage,error", [
     (lambda obj: obj.update(inverses=[True if x == 1 else x
                                       for x in obj["inverses"]]), "JSON integers"),
@@ -151,6 +172,7 @@ def _swap(items, a, b):
     (lambda obj: _swap(obj["mult_table"][1], -2, -1), "Latin square"),
     (lambda obj: _swap(obj["elements"], 2, 3), "elements, orders"),
     (lambda obj: _swap(obj["classes"], 3, 4), "classes"),
+    (_runaway_conductor, "conductor 1000000007 does not divide the group order 8"),
 ])
 def test_damaged_group_json_is_refused(damage, error):
     from mckay.groups import FiniteSubgroup
