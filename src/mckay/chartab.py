@@ -101,8 +101,9 @@ class CharacterTable:
         the stored JSON must serialize to the rebuilt table's text, so the
         spec, degrees, class sizes, defining values and every integer's
         spelling must match."""
+        seen = {}
         table = CharacterTable(group, tuple(
-            tuple(read_value(v, group.order) for v in row) for row in obj["values"]))
+            tuple(read_value(v, group.order, seen) for v in row) for row in obj["values"]))
         if json.dumps(table.to_json_obj()) != json.dumps(obj):
             raise CharacterSolverError("stored spec, degrees, class sizes, defining values "
                                        "or JSON integers differ from what the group gives")
@@ -156,10 +157,9 @@ def pairings(table: CharacterTable, chis) -> tuple[tuple[tuple[int, ...], ...], 
     group, r, k = table.group, table.n_classes, len(functions)
     if len(values) != r + k or any(len(row) != r for row in values):
         raise ValueError("class function length does not match the class count")
-    if any(c.denominator != 1 for row in values for v in row for _, c in v.terms):
+    if any(v.denominator != 1 for row in values for v in row):
         raise CharacterSolverError("a character value has a non-integer coefficient")
-    l1 = [max(sum(abs(c.numerator) for _, c in v.terms) for v in row)
-          for row in values]
+    l1 = [max(sum(abs(c) for _, c in v.numerators) for v in row) for row in values]
     bound = max(l1[:k]) * max(l1[k:]) ** 2
     e = lcm(group.exponent, *(v.conductor for row in values for v in row))
     p = _dixon_prime(2 * group.order * bound, e)
@@ -171,8 +171,8 @@ def pairings(table: CharacterTable, chis) -> tuple[tuple[tuple[int, ...], ...], 
     images = {}
     for u in range(e):
         if gcd(u, e) == 1:
-            image = [sum(c.numerator * powers[t * u * (e // v.conductor) % e]
-                         for t, c in v.terms) % p for v in distinct]
+            image = [sum(c * powers[t * u * (e // v.conductor) % e]
+                         for t, c in v.numerators) % p for v in distinct]
             images[u] = [[image[i] for i in row] for row in cells]
     for u, rows in images.items():
         moved = [classes[u % len(classes)] for classes in group.power_classes]

@@ -15,12 +15,13 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 
 from . import cache
 from .chartab import CharacterTable, character_table
 from .cyclotomic import CycNumber, root_of_unity
 from .errors import InternalError, InvariantError
-from .groups import FiniteSubgroup, GroupSpec, build_group
+from .groups import CLASS_BUDGET, FiniteSubgroup, GroupSpec, build_group
 from .highest_weight import drinfeld_polynomials, freudenthal, weylkac_oracle
 from .quiver import CartanData, mckay_quiver, to_dot
 from .roots import reconstruct_g_dim, root_system_for
@@ -72,19 +73,54 @@ def _parse_int_vector(text: str, length: int, label: str) -> tuple[int, ...]:
     return values
 
 
-_EIG_ROOT = re.compile(r"^z(\d+)(?:\^(-?\d+))?$")
+# `drinfeld --eigs` budgets, checked on the tokens before any value is
+# built.  The worst accepted input, 32 eigenvalues at one vertex mixing
+# roots of unity of order 359 and 18-digit fractions, runs in 0.2 s
+# (Python 3.11, 2 vCPU; the cost is quadratic in the count at one vertex
+# and grows with phi(lcm)).  There are at most as many vertices as a
+# quiver of an accepted group spec has.
+EIGENVALUE_BUDGET = 32
+ROOT_ORDER_BUDGET = 360
+_EIG_TOKEN = re.compile(r"([+-]?[0-9]{1,18})(?:/([0-9]{1,18}))?"
+                        r"|z([0-9]{1,18})(?:\^([+-]?[0-9]{1,18}))?")
 
 
-def _parse_eigenvalue(token: str) -> CycNumber:
-    token = token.strip()
-    match = _EIG_ROOT.match(token)
-    if match:
-        return root_of_unity(int(match.group(1)), int(match.group(2) or 1))
-    try:
-        return CycNumber.coerce(Fraction(token))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad eigenvalue {token!r}: use integers, fractions "
-                         "like 3/2, or roots of unity like z8^3")
+def _parse_eigenvalues(text: str) -> list[list[CycNumber]]:
+    """Per vertex (';'-separated) a ','-separated multiset of tokens:
+    an integer a, a fraction a/b or a root of unity zN or zN^k, every
+    integer of at most 18 digits.  More than CLASS_BUDGET vertices, more
+    than EIGENVALUE_BUDGET tokens, or orders N whose lcm is above
+    ROOT_ORDER_BUDGET, are refused before a value is built."""
+    parts = text.split(";")
+    if len(parts) > CLASS_BUDGET:
+        raise ValueError(f"{len(parts)} vertices, above the class budget of {CLASS_BUDGET}")
+    vertices = []
+    for part in parts:
+        matches = []
+        for tok in part.split(",") if part.strip() else ():
+            match = _EIG_TOKEN.fullmatch(tok.strip())
+            if match is None:
+                raise ValueError(f"bad eigenvalue {tok.strip()!r}: use integers, "
+                                 "fractions like 3/2, or roots of unity like z8^3, "
+                                 "each integer of at most 18 digits")
+            matches.append(match)
+        vertices.append(matches)
+    count = sum(map(len, vertices))
+    if count > EIGENVALUE_BUDGET:
+        raise ValueError(f"{count} eigenvalues, above the budget of {EIGENVALUE_BUDGET}")
+    order = lcm(*(int(m[3]) for ms in vertices for m in ms if m[3]))
+    if order > ROOT_ORDER_BUDGET:
+        raise ValueError(f"the roots of unity have order lcm {order}, above the "
+                         f"budget of {ROOT_ORDER_BUDGET}")
+    return [[_eigenvalue(*m.groups()) for m in ms] for ms in vertices]
+
+
+def _eigenvalue(num, den, n, k) -> CycNumber:
+    if n is not None:
+        return root_of_unity(int(n), int(k or 1))
+    if den is not None and int(den) == 0:
+        raise ValueError(f"bad eigenvalue {num}/{den}: zero denominator")
+    return CycNumber.coerce(Fraction(int(num), int(den or 1)))
 
 
 def _emit(obj) -> None:
@@ -142,21 +178,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     drinfeld_cmd = sub.add_parser(
         "drinfeld", help="Drinfeld polynomials from per-vertex eigenvalues")
-    drinfeld_cmd.add_argument("--eigs", required=True,
-                              help="semicolon-separated vertices, each a "
-                              "comma-separated eigenvalue multiset")
+    drinfeld_cmd.add_argument(
+        "--eigs", required=True,
+        help="semicolon-separated vertices, each a comma-separated eigenvalue "
+             "multiset of integers a, fractions a/b and roots of unity zN or zN^k "
+             f"(integers of at most 18 digits); at most {CLASS_BUDGET} vertices "
+             f"and {EIGENVALUE_BUDGET} eigenvalues in all, and roots whose orders "
+             f"N have lcm at most {ROOT_ORDER_BUDGET}")
     return parser
 
 
 def _dispatch(args) -> None:
     if args.command == "drinfeld":
-        multisets = []
-        for group_text in args.eigs.split(";"):
-            group_text = group_text.strip()
-            multisets.append([] if not group_text else
-                             [_parse_eigenvalue(tok)
-                              for tok in group_text.split(",")])
-        _emit(drinfeld_polynomials(multisets).to_json_obj())
+        _emit(drinfeld_polynomials(_parse_eigenvalues(args.eigs)).to_json_obj())
         return
 
     spec = GroupSpec.parse(args.spec)

@@ -1,18 +1,28 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A value is stored as a finite sum  sum_k c_k * zeta_N^k  with rational
-coefficients, reduced to a canonical basis so that equality of values is
-equality of representations.  The basis is the product, over the prime
-powers q = p^v exactly dividing N, of the power bases {zeta_q^a : 0 <= a
-< phi(q)}: an exponent k is canonical iff each of its CRT digits a_p =
-k * ((N/q)^-1 mod q) mod q satisfies a_p < phi(q).  Out-of-range digits
-are rewritten with the relations zeta_N^N = 1 and the vanishing of the
-Phi_p sums  sum_{j<p} zeta_N^{k + j*N/p} = 0.
+A value is a finite sum  sum_k (a_k / d) * zeta_N^k,  held as integer
+numerators a_k over one common denominator d >= 1, with no a_k zero and
+gcd(a_k, ..., d) = 1; the exponents k are reduced to a canonical basis,
+so that equality of values is equality of representations.  The basis
+is the product, over the prime powers q = p^v exactly dividing N, of
+the power bases {zeta_q^a : 0 <= a < phi(q)}: an exponent k is
+canonical iff each of its CRT digits a_p = k * ((N/q)^-1 mod q) mod q
+satisfies a_p < phi(q).  Out-of-range digits are rewritten with the
+relations zeta_N^N = 1 and the vanishing of the Phi_p sums
+sum_{j<p} zeta_N^{k + j*N/p} = 0; the rewrite of zeta_N^k is an integer
+combination of canonical powers, worked out the first time the pair
+(N, k) occurs and remembered.
+
+Every operation works on Python ints: products and sums of numerators,
+the rewrite, then one gcd that restores the normal form of the
+denominator.  The rational coefficients a_k / d (`terms`) are built
+only when asked for.
 
 The conductor is minimized eagerly: a prime p is dropped from N exactly
 when every exponent in canonical form is divisible by p (zeta_N^e =
-zeta_{N/p}^{e/p}).  Rational numbers therefore always have conductor 1,
-and conductors congruent to 2 mod 4 never survive normalization.
+zeta_{N/p}^{e/p}), so N becomes N / gcd(N, k, ...).  Rational numbers
+therefore always have conductor 1, and conductors congruent to 2 mod 4
+never survive normalization.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 __all__ = ["CycNumber", "root_of_unity"]
 
@@ -48,15 +58,15 @@ def _prime_power_structure(n: int) -> tuple[tuple[int, int, int, int, int], ...]
     return tuple(out)
 
 
-def _reduce_digits(n: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Rewrite arbitrary exponents mod n into canonical digit range."""
+def _expansion(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """zeta_n^k, 0 <= k < n, as canonical (exponent, integer) terms.
+    Each rewrite changes one CRT digit only and leaves it in range, so
+    at most one rewrite per prime is stacked on any path."""
     structure = _prime_power_structure(n)
-    out: dict[int, Fraction] = {}
-    stack = [(e % n, c) for e, c in raw.items()]
+    out: dict[int, int] = {}
+    stack = [(k, 1)]
     while stack:
         e, c = stack.pop()
-        if not c:
-            continue
         for p, q, cof, inv, phi in structure:
             a = (e * inv) % q
             if a < phi:
@@ -72,44 +82,110 @@ def _reduce_digits(n: int, raw: dict[int, Fraction]) -> dict[int, Fraction]:
                     stack.append(((e + (j * step + r - a) * cof) % n, -c))
             break
         else:
-            acc = out.get(e)
-            total = c if acc is None else acc + c
-            if total:
-                out[e] = total
-            elif acc is not None:
-                del out[e]
+            out[e] = out.get(e, 0) + c
+    return tuple((e, c) for e, c in out.items() if c)
+
+
+# conductor -> {exponent: its canonical expansion}, filled lazily: a
+# product looks up every exponent it makes, so the lookup is one dict
+# access, and only exponents that occur are ever expanded
+_EXPANSIONS: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+
+
+def _reduce_digits(n: int, raw: dict[int, int]) -> dict[int, int]:
+    """Rewrite integer coefficients on exponents in [0, n) into the
+    canonical basis; zero coefficients may remain in the result."""
+    memo = _EXPANSIONS.get(n)
+    if memo is None:
+        memo = _EXPANSIONS[n] = {}
+    out: dict[int, int] = {}
+    for e, c in raw.items():
+        if not c:
+            continue
+        terms = memo.get(e)
+        if terms is None:
+            terms = memo[e] = _expansion(n, e)
+        for f, k in terms:
+            out[f] = out.get(f, 0) + c * k
     return out
 
 
-def _minimize_conductor(n: int, terms: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    if not terms:
-        return 1, {}
-    changed = True
-    while changed and n > 1:
-        changed = False
-        for p, _, _, _, _ in _prime_power_structure(n):
-            if all(e % p == 0 for e in terms):
-                terms = {e // p: c for e, c in terms.items()}
-                n //= p
-                changed = True
-                break
-    return n, terms
+def _make(n: int, coeffs: dict[int, int], den: int) -> CycNumber:
+    """The value sum_e coeffs[e]/den zeta_n^e from canonical exponents
+    and den >= 1: drops zero numerators, divides out the common gcd and
+    minimizes the conductor."""
+    items = [t for t in sorted(coeffs.items()) if t[1]]
+    if not items:
+        return _ZERO
+    exponents, numerators = zip(*items)
+    g = gcd(den, *numerators)
+    if g > 1:
+        den //= g
+        items = [(e, c // g) for e, c in items]
+    m = gcd(n, *exponents)
+    if m > 1:
+        n //= m
+        items = [(e // m, c) for e, c in items]
+    return _raw(n, tuple(items), den)
+
+
+def _from_integers(n: int, items, den: int) -> CycNumber:
+    """The value sum a/den zeta_n^e over the (e, a) in `items`, for any
+    integer exponents e and den >= 1, in canonical form."""
+    raw: dict[int, int] = {}
+    for e, a in items:
+        e %= n
+        raw[e] = raw.get(e, 0) + a
+    return _make(n, _reduce_digits(n, raw), den)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _raw(conductor: int, numerators: tuple[tuple[int, int], ...], den: int) -> CycNumber:
+    """Wrap an already-normal representation without re-reducing."""
+    obj = _new(CycNumber)
+    _set(obj, "conductor", conductor)
+    _set(obj, "numerators", numerators)
+    _set(obj, "denominator", den)
+    return obj
+
+
+def _rational_text(a: int, b: int) -> str:
+    """str(Fraction(a, b)) for b >= 1: 'a' or 'a/b' in lowest terms."""
+    g = gcd(a, b)
+    return str(a // g) if g == b else f"{a // g}/{b // g}"
+
+
+def _parse_rational(text: str) -> tuple[int, int]:
+    """'a' or 'a/b' with b >= 1, as the integers (a, b)."""
+    num, slash, den = text.partition("/")
+    den = int(den) if slash else 1
+    if den < 1:
+        raise ValueError(f"denominator of {text!r} is not a positive integer")
+    return int(num), den
 
 
 class CycNumber:
-    """An element of Q(zeta_N) in canonical reduced form.  Immutable."""
+    """An element of Q(zeta_N) in canonical reduced form.  Immutable.
 
-    __slots__ = ("conductor", "terms", "_hash")
+    `numerators` holds the canonical (exponent, integer numerator)
+    pairs in exponent order, all over `denominator`; `terms` is the
+    same value as (exponent, Fraction) pairs."""
 
-    def __init__(self, conductor: int, terms: dict[int, Fraction] | None = None):
+    __slots__ = ("conductor", "numerators", "denominator")
+
+    def __new__(cls, conductor: int, terms: dict | None = None) -> CycNumber:
         if conductor < 1:
             raise ValueError("conductor must be a positive integer")
-        raw = {e: Fraction(c) for e, c in (terms or {}).items()}
-        reduced = _reduce_digits(conductor, raw)
-        n, reduced = _minimize_conductor(conductor, reduced)
-        object.__setattr__(self, "conductor", n)
-        object.__setattr__(self, "terms", tuple(sorted(reduced.items())))
-        object.__setattr__(self, "_hash", hash((n, self.terms)))
+        items = list((terms or {}).items())
+        if all(type(c) is int for _, c in items):
+            return _from_integers(conductor, items, 1)
+        items = [(e, Fraction(c)) for e, c in items]
+        den = lcm(*(c.denominator for _, c in items))
+        return _from_integers(
+            conductor, [(e, c.numerator * (den // c.denominator)) for e, c in items], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNumber is immutable")
@@ -117,27 +193,25 @@ class CycNumber:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def _raw(conductor: int, terms: tuple[tuple[int, Fraction], ...]) -> CycNumber:
-        """Wrap an already-canonical representation without re-reducing."""
-        obj = object.__new__(CycNumber)
-        object.__setattr__(obj, "conductor", conductor)
-        object.__setattr__(obj, "terms", terms)
-        object.__setattr__(obj, "_hash", hash((conductor, terms)))
-        return obj
-
-    @staticmethod
     def coerce(value) -> CycNumber:
         if isinstance(value, CycNumber):
             return value
-        if isinstance(value, _RationalLike):
-            f = Fraction(value)
-            return CycNumber._raw(1, ((0, f),) if f else ())
+        if isinstance(value, int):
+            return _raw(1, ((0, int(value)),), 1) if value else _ZERO
+        if isinstance(value, Fraction):
+            return (_raw(1, ((0, value.numerator),), value.denominator)
+                    if value else _ZERO)
         raise TypeError(f"cannot interpret {value!r} as a cyclotomic number")
 
     # -- queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        d = self.denominator
+        return tuple((e, Fraction(c, d)) for e, c in self.numerators)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -145,23 +219,27 @@ class CycNumber:
     def rational_value(self) -> Fraction:
         if self.conductor != 1:
             raise ValueError(f"{self} is not rational")
-        return self.terms[0][1] if self.terms else Fraction(0)
+        if not self.numerators:
+            return Fraction(0)
+        return Fraction(self.numerators[0][1], self.denominator)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.rational_value().denominator == 1
+        return self.conductor == 1 and self.denominator == 1
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _RationalLike):
             other = CycNumber.coerce(other)
         if not isinstance(other, CycNumber):
             return NotImplemented
-        return self.conductor == other.conductor and self.terms == other.terms
+        return (self.numerators == other.numerators
+                and self.denominator == other.denominator
+                and self.conductor == other.conductor)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.conductor, self.denominator, self.numerators))
 
     def sort_key(self) -> tuple:
         """Deterministic total order key (no arithmetic meaning)."""
@@ -169,72 +247,80 @@ class CycNumber:
 
     # -- ring operations ---------------------------------------------
 
-    def _lift(self, n: int) -> dict[int, Fraction]:
-        scale = n // self.conductor
-        return {e * scale: c for e, c in self.terms}
-
-    def __add__(self, other) -> CycNumber:
-        try:
-            other = CycNumber.coerce(other)
-        except TypeError:
-            return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            s = self.rational_value() + other.rational_value()
-            return CycNumber._raw(1, ((0, s),) if s else ())
-        n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        merged = self._lift(n)
-        for e, c in other._lift(n).items():
-            acc = merged.get(e)
-            total = c if acc is None else acc + c
-            if total:
-                merged[e] = total
-            elif acc is not None:
-                del merged[e]
+    def _combine(self, other: CycNumber, sign: int) -> CycNumber:
+        """self + sign * other."""
+        if not other.numerators:
+            return self
+        if not self.numerators and sign == 1:
+            return other
+        n1, n2 = self.conductor, other.conductor
+        n = n1 if n1 == n2 else n1 * n2 // gcd(n1, n2)
+        d1, d2 = self.denominator, other.denominator
+        d = d1 if d1 == d2 else d1 // gcd(d1, d2) * d2
+        k1, s1, k2, s2 = n // n1, d // d1, n // n2, sign * (d // d2)
         # canonical forms stay canonical under lifting; only cancellation
         # can change the conductor
-        n, merged = _minimize_conductor(n, merged)
-        return CycNumber._raw(n, tuple(sorted(merged.items())))
+        merged = {e * k1: c * s1 for e, c in self.numerators}
+        for e, c in other.numerators:
+            e *= k2
+            merged[e] = merged.get(e, 0) + c * s2
+        return _make(n, merged, d)
+
+    def __add__(self, other) -> CycNumber:
+        if not isinstance(other, CycNumber):
+            try:
+                other = CycNumber.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycNumber:
-        return CycNumber._raw(self.conductor, tuple((e, -c) for e, c in self.terms))
+        return _raw(self.conductor, tuple((e, -c) for e, c in self.numerators),
+                    self.denominator)
 
     def __sub__(self, other) -> CycNumber:
-        try:
-            other = CycNumber.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
+        if not isinstance(other, CycNumber):
+            try:
+                other = CycNumber.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> CycNumber:
         return (-self) + other
 
     def __mul__(self, other) -> CycNumber:
-        try:
-            other = CycNumber.coerce(other)
-        except TypeError:
-            return NotImplemented
-        if other.conductor == 1:
-            if not other.terms:
-                return CycNumber._raw(1, ())
-            r = other.terms[0][1]
-            return CycNumber._raw(self.conductor, tuple((e, c * r) for e, c in self.terms))
-        if self.conductor == 1:
-            return other * self
-        n = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        a, b = self._lift(n), other._lift(n)
-        prod: dict[int, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        if not isinstance(other, CycNumber):
+            try:
+                other = CycNumber.coerce(other)
+            except TypeError:
+                return NotImplemented
+        a, b = self.numerators, other.numerators
+        if not a or not b:
+            return _ZERO
+        d = self.denominator * other.denominator
+        n1, n2 = self.conductor, other.conductor
+        if n1 == 1 or n2 == 1:
+            # a rational factor r keeps the exponents and the conductor
+            terms, r, n = (a, b[0][1], n1) if n2 == 1 else (b, a[0][1], n2)
+            return _make(n, {e: c * r for e, c in terms}, d)
+        if n1 == n2:
+            n = n1
+        else:
+            n = n1 * n2 // gcd(n1, n2)
+            k1, k2 = n // n1, n // n2
+            a = [(e * k1, c) for e, c in a]
+            b = [(e * k2, c) for e, c in b]
+        prod: dict[int, int] = {}
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
                 if e >= n:
                     e -= n
-                acc = prod.get(e)
-                prod[e] = c1 * c2 if acc is None else acc + c1 * c2
-        reduced = _reduce_digits(n, prod)
-        n, reduced = _minimize_conductor(n, reduced)
-        return CycNumber._raw(n, tuple(sorted(reduced.items())))
+                prod[e] = prod.get(e, 0) + c1 * c2
+        return _make(n, _reduce_digits(n, prod), d)
 
     __rmul__ = __mul__
 
@@ -243,9 +329,8 @@ class CycNumber:
         n = self.conductor
         if gcd(k, n) != 1:
             raise ValueError(f"galois exponent {k} not coprime to conductor {n}")
-        reduced = _reduce_digits(n, {(e * k) % n: c for e, c in self.terms})
-        n, reduced = _minimize_conductor(n, reduced)
-        return CycNumber._raw(n, tuple(sorted(reduced.items())))
+        raw = {(e * k) % n: c for e, c in self.numerators}
+        return _make(n, _reduce_digits(n, raw), self.denominator)
 
     def conj(self) -> CycNumber:
         """Complex conjugation, zeta -> zeta^-1."""
@@ -253,12 +338,12 @@ class CycNumber:
 
     def inv(self) -> CycNumber:
         """Multiplicative inverse, via the product of Galois conjugates."""
-        if not self.terms:
+        if not self.numerators:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.conductor == 1:
-            return CycNumber._raw(1, ((0, 1 / self.rational_value()),))
+            return CycNumber.coerce(1 / self.rational_value())
         n = self.conductor
-        cofactor = CycNumber._raw(1, ((0, Fraction(1)),))
+        cofactor = _ONE
         for k in range(2, n):
             if gcd(k, n) == 1:
                 cofactor = cofactor * self.galois(k)
@@ -282,7 +367,7 @@ class CycNumber:
             return NotImplemented
         if exponent < 0:
             return self.inv() ** (-exponent)
-        result = CycNumber._raw(1, ((0, Fraction(1)),))
+        result = _ONE
         base = self
         while exponent:
             if exponent & 1:
@@ -299,17 +384,26 @@ class CycNumber:
         return sum(float(c) * cmath.exp(2j * cmath.pi * e / n) for e, c in self.terms)
 
     def to_json_obj(self) -> dict:
-        return {"N": self.conductor, "terms": [[e, str(c)] for e, c in self.terms]}
+        d = self.denominator
+        return {"N": self.conductor,
+                "terms": [[e, _rational_text(c, d)] for e, c in self.numerators]}
 
     @staticmethod
     def from_json_obj(obj: dict) -> CycNumber:
-        return CycNumber(int(obj["N"]), {int(e): Fraction(c) for e, c in obj["terms"]})
+        """Coefficients are parsed as 'a' or 'a/b' straight to integers;
+        the result is put in canonical form."""
+        n = int(obj["N"])
+        if n < 1:
+            raise ValueError("conductor must be a positive integer")
+        parsed = [(int(e), *_parse_rational(c)) for e, c in obj["terms"]]
+        den = lcm(*(d for _, _, d in parsed))
+        return _from_integers(n, [(e, a * (den // d)) for e, a, d in parsed], den)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.numerators:
             return "CycNumber(0)"
         if self.conductor == 1:
-            return f"CycNumber({self.terms[0][1]})"
+            return f"CycNumber({self.rational_value()})"
         bits = []
         for e, c in self.terms:
             zeta = f"z{self.conductor}^{e}" if e else "1"
@@ -317,8 +411,12 @@ class CycNumber:
         return "CycNumber(" + " + ".join(bits) + ")"
 
 
+_ZERO = _raw(1, (), 1)
+_ONE = _raw(1, ((0, 1),), 1)
+
+
 def root_of_unity(n: int, k: int = 1) -> CycNumber:
     """zeta_n^k in canonical form.  Requires n >= 1."""
     if n < 1:
         raise ValueError("order of a root of unity must be a positive integer")
-    return CycNumber(n, {k % n: Fraction(1)})
+    return CycNumber(n, {k % n: 1})

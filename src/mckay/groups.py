@@ -310,9 +310,11 @@ class FiniteSubgroup:
         again; the stored JSON must serialize to the rebuilt group's text,
         so the derived fields and every integer's spelling must match."""
         n = len(obj["elements"])  # the constructor checks it against the spec
+        seen = {}
         group = FiniteSubgroup(
             GroupSpec.parse(obj["spec"]),
-            tuple(GroupElement(*(read_value(x, n) for x in e)) for e in obj["elements"]),
+            tuple(GroupElement(*(read_value(x, n, seen) for x in e))
+                  for e in obj["elements"]),
             tuple(tuple(int(x) for x in row) for row in obj["mult_table"]))
         if json.dumps(group.to_json_obj()) != json.dumps(obj):
             raise GroupConstructionError("stored inverses, orders, classes, exponent "
@@ -413,12 +415,20 @@ def build_group(spec: GroupSpec) -> FiniteSubgroup:
               for i in range(n)))
 
 
-def read_value(obj: dict, order: int) -> CycNumber:
+def read_value(obj: dict, order: int, seen: dict) -> CycNumber:
     """A stored value of a group of `order` elements or of its table; its
-    conductor must divide the order, checked before a term is expanded."""
-    if order % int(obj["N"]):
-        raise ValueError(f"conductor {obj['N']} does not divide the group order {order}")
-    return CycNumber.from_json_obj(obj)
+    conductor must divide the order, checked before a term is expanded.
+    `seen` holds the values one reader has parsed, keyed by their JSON,
+    so each distinct stored value is parsed once; JSON that differs only
+    in spelling (true for 1, 1.0 for 1) shares a key, and the reader's
+    byte comparison refuses it."""
+    key = (obj["N"], *map(tuple, obj["terms"]))
+    value = seen.get(key)
+    if value is None:
+        if order % int(obj["N"]):
+            raise ValueError(f"conductor {obj['N']} does not divide the group order {order}")
+        value = seen[key] = CycNumber.from_json_obj(obj)
+    return value
 
 
 def defining_character(group: FiniteSubgroup) -> tuple[CycNumber, ...]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -191,6 +192,31 @@ def test_drinfeld_subcommand(capsys):
     code, _, err = invoke(capsys, "drinfeld", "--eigs", "0")
     assert code == 2
     assert "eigenvalue" in err
+
+
+@pytest.mark.parametrize("eigs,message", [
+    ("1e30000000", "bad eigenvalue"),
+    ("z1000000007^1000000006", "order lcm 1000000007, above the budget of 360"),
+    (",".join(["1"] * 1000), "1000 eigenvalues, above the budget of 32"),
+    (";" * 100000, "100001 vertices, above the class budget of 60"),
+    ("1" * 19, "bad eigenvalue"),
+], ids=["exponent-notation", "root-of-order-1e9+7", "1000-ones", "100001-vertices",
+        "19-digits"])
+def test_drinfeld_inputs_over_their_budgets_exit_2(capsys, eigs, message):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "drinfeld", "--eigs", eigs)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_drinfeld_inputs_at_their_budgets_are_accepted(capsys):
+    code, out, _ = invoke(capsys, "drinfeld", "--eigs",
+                          ",".join(["z360^7"] * 31 + ["-3/2"]) + ";" * 59)
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["polynomials"]) == 60
+    assert len(data["polynomials"][0]) == 33
 
 
 def test_group_json_contains_table_and_classes(capsys):
@@ -399,6 +425,21 @@ def _runaway_conductor(payload):
 def test_a_cached_runaway_conductor_is_recomputed(capsys):
     _assert_damaged_entry_is_recomputed(capsys, "chartab", "cyclic:3",
                                         _runaway_conductor)
+
+
+def _element_respelled_off_the_canonical_basis(payload):
+    """zeta_8^e c = zeta_8^(e+4) (-c): the same value, on a term outside
+    the canonical basis {1, zeta_8, zeta_8^2, zeta_8^3}.  The last element
+    is respelled, where the element order alone does not notice it."""
+    value = next(x for g in reversed(payload["group"]["elements"]) for x in g
+                 if x["N"] == 8)
+    e, c = value["terms"][0]
+    value["terms"][0] = [e + 4, c[1:] if c.startswith("-") else "-" + c]
+
+
+def test_a_cached_element_off_the_canonical_basis_is_recomputed(capsys):
+    _assert_damaged_entry_is_recomputed(capsys, "group", "binary-octahedral",
+                                        _element_respelled_off_the_canonical_basis)
 
 
 def _integer_leaves(node, path=()):

@@ -151,3 +151,43 @@ def test_values_are_immutable():
         z.conductor = 4
     with pytest.raises(AttributeError):
         z.terms = ()
+
+
+def _canonical_exponent(k, n):
+    """Each CRT digit of k below phi(q), q = p^v exactly dividing n."""
+    m, p = n, 2
+    while m > 1:
+        if m % p == 0:
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            if k * pow(n // q, -1, q) % q >= q - q // p:
+                return False
+        p += 1
+    return True
+
+
+@given(cyc_numbers(), cyc_numbers())
+def test_integer_numerators_over_one_denominator(a, b):
+    from math import gcd
+    for x in (a, b, a + b, a * b, -a, a.conj()):
+        exponents = [e for e, _ in x.numerators]
+        numerators = [c for _, c in x.numerators]
+        assert type(x.denominator) is int and x.denominator >= 1
+        assert all(type(c) is int and c != 0 for c in numerators)
+        assert gcd(x.denominator, *numerators) == 1
+        assert exponents == sorted(set(exponents))
+        assert all(0 <= e < x.conductor and _canonical_exponent(e, x.conductor)
+                   for e in exponents)
+        assert x.terms == tuple((e, Fraction(c, x.denominator))
+                                for e, c in x.numerators)
+        if x:
+            assert gcd(x.conductor, *exponents) == 1  # the conductor is minimal
+
+
+@given(cyc_numbers(), cyc_numbers())
+def test_json_coefficients_are_fraction_strings(a, b):
+    for x in (a, b, a * b):
+        assert [c for _, c in x.to_json_obj()["terms"]] == \
+            [str(Fraction(c, x.denominator)) for _, c in x.numerators]
