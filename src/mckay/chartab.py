@@ -5,9 +5,12 @@ seeded element X of the class algebra splits it.  The Krylov rows of
 right multiplication by X give, in one elimination, the minimal
 polynomial of X and, from its r roots, the r central characters; a
 draw that does not separate them is replaced by the next one.  Degrees
-follow from the central characters, and each value is lifted to an
-exact cyclotomic number through the discrete-log correspondence
-between F_p roots of unity and powers of zeta_exponent.  There is no
+follow from the central characters, and each character is lifted to
+exact cyclotomic numbers through the discrete-log correspondence
+between F_p roots of unity and powers of zeta_exponent, once per
+rational class: the other classes of a rational class, those of g^k
+with k prime to ord(g), take the Galois conjugate sigma_k of the value
+on g, checked against the F_p value there.  There is no
 floating point anywhere.  Every table, whether built here or read back
 from JSON, is reduced once more, into a prime field of its own: one
 `pairings` call there proves its rows orthonormal and gives the McKay
@@ -300,14 +303,21 @@ def _split(group: FiniteSubgroup, x: list[int], p: int) -> list[list[int]] | Non
 
 def _lift_row(chi_fp: list[int], degree: int, power_classes: tuple[tuple[int, ...], ...],
               zeta_pows: list[int], p: int) -> list[CycNumber]:
-    """Exact values of a character from its values in F_p.  On a class
-    whose elements g have order o, the eigenvalue zeta_o^t of g occurs
-    m_t = (1/o) sum_s chi(g^s) zeta_o^(-st) times; power_classes[c] lists
-    the classes of g^s for s < o, and zeta_pows the powers of zeta_e in
-    F_p, e the exponent, so that zeta_o = zeta_e^(e/o)."""
+    """Exact values of a character from its values in F_p, lifted once per
+    rational class.  On a class whose elements g have order o, the
+    eigenvalue zeta_o^t of g occurs m_t = (1/o) sum_s chi(g^s) zeta_o^(-st)
+    times; power_classes[c] lists the classes of g^s for s < o, and
+    zeta_pows the powers of zeta_e in F_p, e the exponent, so that
+    zeta_o = zeta_e^(e/o).  Only the first class of each rational class
+    gets this transform, and its multiplicities must sum to the degree.
+    For k prime to o, g^k has the eigenvalue zeta_o^(kt) m_t times, so the
+    class of g^k takes the multiplicities under t -> kt mod o, and
+    sum_t m_t zeta_o^(kt) must be chi(g^k) in F_p."""
     e = len(zeta_pows)
-    values = []
-    for powers in power_classes:
+    values: list[CycNumber | None] = [None] * len(power_classes)
+    for c, powers in enumerate(power_classes):
+        if values[c] is not None:
+            continue
         o = len(powers)
         roots = zeta_pows[::e // o]
         inv_o = pow(o, -1, p)
@@ -320,7 +330,13 @@ def _lift_row(chi_fp: list[int], degree: int, power_classes: tuple[tuple[int, ..
         if total != degree:
             raise CharacterSolverError(
                 f"eigenvalue multiplicities sum to {total}, expected {degree}")
-        values.append(CycNumber(o, mults))
+        for k in range(o):
+            if gcd(k, o) == 1 and values[powers[k]] is None:
+                moved = {k * t % o: m for t, m in mults.items()}
+                if (sum(m * roots[t] for t, m in moved.items()) - chi_fp[powers[k]]) % p:
+                    raise CharacterSolverError(
+                        f"chi(g^{k}) and sigma_{k}(chi(g)) differ mod p on class {powers[k]}")
+                values[powers[k]] = CycNumber(o, moved)
     return values
 
 

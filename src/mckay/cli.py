@@ -240,10 +240,22 @@ def _dispatch(args) -> None:
         raise ValueError(f"unknown command {args.command!r}")
 
 
+def _glue_eigs(argv: list[str]) -> list[str]:
+    """`drinfeld --eigs -3/2,1` as `--eigs=-3/2,1`: argparse reads a value
+    that starts with '-' and is not a plain number as an option."""
+    glued: list[str] = []
+    for arg in argv:
+        if glued[-1:] == ["--eigs"] and re.match(r"-[0-9]", arg):
+            glued[-1] = f"--eigs={arg}"
+        else:
+            glued.append(arg)
+    return glued
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_eigs(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

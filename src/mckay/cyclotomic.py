@@ -242,7 +242,11 @@ class CycNumber:
         return hash((self.conductor, self.denominator, self.numerators))
 
     def sort_key(self) -> tuple:
-        """Deterministic total order key (no arithmetic meaning)."""
+        """Deterministic total order key (no arithmetic meaning): the
+        order of (conductor, terms).  An int compares with a Fraction by
+        value, so integer coefficients need no Fraction."""
+        if self.denominator == 1:
+            return (self.conductor, self.numerators)
         return (self.conductor, self.terms)
 
     # -- ring operations ---------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -224,3 +225,41 @@ def test_a_split_that_never_separates_is_refused(monkeypatch):
     monkeypatch.setattr(chartab, "_SPLIT_TRIES", 0)
     with pytest.raises(CharacterSolverError, match="separated"):
         chartab.character_table(group)
+
+
+def _fp_rows(text):
+    """The table of `text` in F_p, p and zeta as `character_table` picks
+    them, with the arguments `_lift_row` takes after the row and degree."""
+    group, table, _ = pipeline(text)
+    e = group.exponent
+    p = chartab._dixon_prime(2 * isqrt(group.order ** 3), e)
+    zeta = pow(chartab._primitive_root(p), (p - 1) // e, p)
+    zeta_pows = [pow(zeta, t, p) for t in range(e)]
+    rows = [[sum(c * zeta_pows[t * (e // v.conductor) % e] for t, c in v.numerators) % p
+             for v in row] for row in table.values]
+    return table, rows, (group.power_classes, zeta_pows, p)
+
+
+def test_the_lift_inverts_the_reduction():
+    table, rows, args = _fp_rows("binary-icosahedral")
+    for degree, row, chi_fp in zip(table.degrees, table.values, rows):
+        assert chartab._lift_row(chi_fp, degree, *args) == list(row)
+
+
+def test_multiplicities_that_miss_the_degree_are_refused():
+    table, rows, args = _fp_rows("cyclic:5")
+    with pytest.raises(CharacterSolverError, match="sum to 1, expected 2"):
+        chartab._lift_row(rows[1], 2, *args)
+
+
+def test_a_tampered_value_off_a_rational_class_first_is_refused():
+    # cyclic:5 has the rational classes {0} and {1, 2, 3, 4}, so class 2
+    # takes class 1's multiplicities under some t -> kt; the transform on
+    # class 1 reads class 2 too, and its multiplicities stop summing to 1
+    table, rows, args = _fp_rows("cyclic:5")
+    power_classes, _, p = args
+    assert sorted(power_classes[1][1:]) == [1, 2, 3, 4]
+    chi_fp = rows[1][:]
+    chi_fp[2] = (chi_fp[2] + 1) % p
+    with pytest.raises(CharacterSolverError):
+        chartab._lift_row(chi_fp, table.degrees[1], *args)

@@ -194,6 +194,15 @@ def test_drinfeld_subcommand(capsys):
     assert "eigenvalue" in err
 
 
+@pytest.mark.parametrize("eigs", ["-3/2,1", "-1;z4^3,-5/7"])
+def test_drinfeld_eigs_starting_with_a_minus_sign_in_both_spellings(capsys, eigs):
+    code, spaced, _ = invoke(capsys, "drinfeld", "--eigs", eigs)
+    assert code == 0
+    code, joined, _ = invoke(capsys, "drinfeld", f"--eigs={eigs}")
+    assert code == 0
+    assert spaced == joined
+
+
 @pytest.mark.parametrize("eigs,message", [
     ("1e30000000", "bad eigenvalue"),
     ("z1000000007^1000000006", "order lcm 1000000007, above the budget of 360"),

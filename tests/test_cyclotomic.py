@@ -191,3 +191,10 @@ def test_json_coefficients_are_fraction_strings(a, b):
     for x in (a, b, a * b):
         assert [c for _, c in x.to_json_obj()["terms"]] == \
             [str(Fraction(c, x.denominator)) for _, c in x.numerators]
+
+
+@given(st.lists(cyc_numbers(), min_size=2, max_size=12))
+def test_sort_key_orders_as_conductor_and_terms(xs):
+    by_key = sorted(range(len(xs)), key=lambda i: xs[i].sort_key())
+    by_terms = sorted(range(len(xs)), key=lambda i: (xs[i].conductor, xs[i].terms))
+    assert by_key == by_terms

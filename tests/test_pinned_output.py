@@ -1,5 +1,6 @@
 """The JSON the CLI prints for `group`, `chartab` and `quiver`, pinned by
-sha256 on every small spec.  Any change to elements, their order, the
+sha256 on every small spec, and for `chartab` and `quiver` also on four
+specs with 30 to 60 classes.  Any change to elements, their order, the
 classes, the character values or the quiver changes a digest."""
 
 import hashlib
@@ -106,6 +107,22 @@ DIGESTS = {
         "652aa0ea210385da41cda1b085c412014049e570d8a5b2eacc2dc61bb0358f71"),
 }
 
+# spec: sha256 of the `chartab` and `quiver` stdout, at r = 30 to 60
+SCALE_DIGESTS = {
+    "cyclic:30": (
+        "f92a462a1ceb6a5d0ba404c159a0b3659dde1a9fe52ddfdf6ab4f946a64e1922",
+        "d4e51596ba6a5cdc7023baacbbbb190fece30c3ac8129e8e30207811bf1c938e"),
+    "cyclic:60": (
+        "3efaf3be42ca133f462ca11e9ebee66da68ba39b0d72960ce60d0a03c24ab2bc",
+        "b0dc7d1c51e47c8dd9ba0cf0812595e4b75bd796d5c92966b2a16e6443262c45"),
+    "binary-dihedral:30": (
+        "841ff0b0e9128375ec280b94515015a1634b9d609b20ba79974f64fcacc25502",
+        "96c96ca3801e08be16da73bf85821c31a67ac0d715047eeaaa266c8c78ee3c96"),
+    "binary-dihedral:57": (
+        "21820f35383203622acc28bfb62b7f7535340b2d0b74f7e21ef50d057225021b",
+        "be16dfa0e5998b3f5c2d8df32925fdd25dfae47bb4b33aa2a41b5dc4ee2b37c6"),
+}
+
 
 @pytest.mark.parametrize("spec", DIGESTS)
 def test_group_chartab_and_quiver_json_are_pinned(spec):
@@ -113,3 +130,12 @@ def test_group_chartab_and_quiver_json_are_pinned(spec):
                                     + "\n").encode()).hexdigest()
                     for obj in pipeline(spec))
     assert digests == DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", SCALE_DIGESTS)
+def test_chartab_and_quiver_json_are_pinned_at_scale(spec):
+    _, table, cartan = pipeline(spec)
+    digests = tuple(hashlib.sha256((json.dumps(obj.to_json_obj(), indent=2)
+                                    + "\n").encode()).hexdigest()
+                    for obj in (table, cartan))
+    assert digests == SCALE_DIGESTS[spec]
