@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -29,6 +28,7 @@ from operator import mul
 from .cyclotomic import CycNumber
 from .errors import InternalError
 from .groups import FiniteSubgroup, defining_character, read_value
+from .record import Record, _set
 
 __all__ = ["CharacterTable", "CharacterSolverError", "character_table", "inner_product",
            "pairings"]
@@ -38,8 +38,7 @@ class CharacterSolverError(InternalError):
     """Class-algebra diagonalization or verification failed."""
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(Record):
     """The irreducible characters of a group, one row per character and
     one column per class, rows sorted with the trivial character first
     and then by (degree, lexicographic values); the constructor refuses
@@ -48,26 +47,23 @@ class CharacterTable:
     class) and the McKay adjacency, from which the quiver is built.
     """
 
-    group: FiniteSubgroup
-    values: tuple[tuple[CycNumber, ...], ...]
-    degrees: tuple[int, ...] = field(init=False)
-    class_sizes: tuple[int, ...] = field(init=False)
-    defining_values: tuple[CycNumber, ...] = field(init=False)
-    mckay_adjacency: tuple[tuple[int, ...], ...] = field(init=False)
+    __slots__ = ("group", "values", "degrees", "class_sizes", "defining_values",
+                 "mckay_adjacency")
 
     trivial_index = 0  # not a field: the canonical order puts it first
 
-    def __post_init__(self):
+    def __init__(self, group: FiniteSubgroup, values: tuple[tuple[CycNumber, ...], ...]):
+        _set(self, "group", group)
+        _set(self, "values", values)
         one = CycNumber.coerce(1)
-        if any(v != one for v in self.values[0]):
+        if any(v != one for v in values[0]):
             raise CharacterSolverError("trivial character row is missing")
         if not all(row[0].is_integer() and row[0].rational_value() > 0
-                   for row in self.values):
+                   for row in values):
             raise CharacterSolverError("a degree is not a positive integer")
-        object.__setattr__(self, "degrees",
-                           tuple(int(row[0].rational_value()) for row in self.values))
-        object.__setattr__(self, "class_sizes", self.group.class_sizes)
-        object.__setattr__(self, "defining_values", defining_character(self.group))
+        _set(self, "degrees", tuple(int(row[0].rational_value()) for row in values))
+        _set(self, "class_sizes", group.class_sizes)
+        _set(self, "defining_values", defining_character(group))
         # rows only: for a square table X, X D X* = |G| I already gives
         # the column relations X* X = |G| D^-1 (at the identity class,
         # sum d^2 = |G|)
@@ -75,7 +71,7 @@ class CharacterTable:
         rows, adjacency = pairings(self, (self.values[0], self.defining_values))
         if rows != tuple(tuple(int(i == j) for j in range(r)) for i in range(r)):
             raise CharacterSolverError("character rows are not orthonormal")
-        object.__setattr__(self, "mckay_adjacency", adjacency)
+        _set(self, "mckay_adjacency", adjacency)
         keys = [_row_key(d, row) for d, row in zip(self.degrees, self.values)]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise CharacterSolverError("character rows are not in canonical order")

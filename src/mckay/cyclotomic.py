@@ -27,7 +27,6 @@ never survive normalization.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -380,12 +379,7 @@ class CycNumber:
             exponent >>= 1
         return result
 
-    # -- embedding and serialization ----------------------------------
-
-    def to_complex(self) -> complex:
-        """Floating-point embedding (display/tests only, never core arithmetic)."""
-        n = self.conductor
-        return sum(float(c) * cmath.exp(2j * cmath.pi * e / n) for e, c in self.terms)
+    # -- serialization -----------------------------------------------
 
     def to_json_obj(self) -> dict:
         d = self.denominator

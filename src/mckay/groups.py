@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .cyclotomic import CycNumber, root_of_unity
 from .errors import InternalError
+from .record import Record, _set
 
 __all__ = [
     "GroupSpec",
@@ -64,14 +64,14 @@ class GroupConstructionError(InternalError):
     """Group closure or validation failed; signals wrong generators."""
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """One of the five families of finite subgroups of SL2(C)."""
 
-    family: str
-    parameter: int | None = None
+    __slots__ = ("family", "parameter")
 
-    def __post_init__(self):
+    def __init__(self, family: str, parameter: int | None = None):
+        _set(self, "family", family)
+        _set(self, "parameter", parameter)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; valid: {', '.join(FAMILIES)}")
         if self.family == "cyclic":
@@ -215,8 +215,7 @@ def _generators(spec: GroupSpec) -> list[GroupElement]:
     return [omega, _quaternion(tau * half, (tau - 1) * half, half, 0)]
 
 
-@dataclass(frozen=True)
-class FiniteSubgroup:
+class FiniteSubgroup(Record):
     """A fully enumerated subgroup of SL2(C): its elements and their
     multiplication table.  The constructor checks the group law and
     derives the inverses, element orders, exponent, classes and power
@@ -230,23 +229,19 @@ class FiniteSubgroup:
     refuses any other.
     """
 
-    spec: GroupSpec
-    elements: tuple[GroupElement, ...]
-    mult_table: tuple[tuple[int, ...], ...]
-    inverse_of: tuple[int, ...] = field(init=False)
-    element_orders: tuple[int, ...] = field(init=False)
-    exponent: int = field(init=False)
-    classes: tuple[tuple[int, ...], ...] = field(init=False)
-    class_of: tuple[int, ...] = field(init=False)
-    class_reps: tuple[int, ...] = field(init=False)
-    power_classes: tuple[tuple[int, ...], ...] = field(init=False)
+    __slots__ = ("spec", "elements", "mult_table", "inverse_of", "element_orders",
+                 "exponent", "classes", "class_of", "class_reps", "power_classes")
 
     identity_index = 0  # not a field: the canonical order puts it first
 
-    def __post_init__(self):
+    def __init__(self, spec: GroupSpec, elements: tuple[GroupElement, ...],
+                 mult_table: tuple[tuple[int, ...], ...]):
         """Checks in time O(|G|^2) and without matrix products that the
         table is a group law on the canonically ordered elements."""
-        table, elements = self.mult_table, self.elements
+        _set(self, "spec", spec)
+        _set(self, "elements", elements)
+        _set(self, "mult_table", mult_table)
+        table = mult_table
         n = len(elements)
         if n != self.spec.order or elements[0] != IDENTITY:
             raise GroupConstructionError(f"{self.spec}: {n} elements, expected "
@@ -282,7 +277,7 @@ class FiniteSubgroup:
                             ("exponent", lcm(*orders)), ("classes", classes),
                             ("class_of", tuple(class_of)), ("class_reps", reps),
                             ("power_classes", power_classes)):
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
 
     @property
     def order(self) -> int:

@@ -36,12 +36,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add, mul, sub
 
 from .cyclotomic import CycNumber
 from .errors import InvariantError
 from .quiver import CartanData
+from .record import Record, _set
 from .roots import root_system_for, unrestrict
 
 __all__ = [
@@ -55,15 +55,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(Record):
     """Nonzero weight multiplicities within a finite window; tables are
     equal when their framing, window and entries are."""
 
-    framing: tuple[int, ...]
-    depth: int | None
-    cap: tuple[int, ...] | None
-    entries: dict[tuple[int, ...], int]
+    __slots__ = ("framing", "depth", "cap", "entries")
+
+    def __init__(self, framing: tuple[int, ...], depth: int | None,
+                 cap: tuple[int, ...] | None, entries: dict[tuple[int, ...], int]):
+        _set(self, "framing", framing)
+        _set(self, "depth", depth)
+        _set(self, "cap", cap)
+        _set(self, "entries", entries)
 
     def multiplicity(self, v) -> int:
         return self.entries.get(tuple(v), 0)
@@ -384,13 +387,16 @@ def weylkac_box(w, cd: CartanData, cap) -> MultiplicityTable:
     return _table(_weylkac_core, w, cd, _Window.box(cd.vertex_count, cap))
 
 
-@dataclass(frozen=True)
-class DrinfeldData:
+class DrinfeldData(Record):
     """Per-vertex eigenvalue multisets and their polynomials P_i with
     P_i(0) = 1; coefficients are listed from the constant term up."""
 
-    eigenvalues: tuple[tuple[CycNumber, ...], ...]
-    polynomials: tuple[tuple[CycNumber, ...], ...]
+    __slots__ = ("eigenvalues", "polynomials")
+
+    def __init__(self, eigenvalues: tuple[tuple[CycNumber, ...], ...],
+                 polynomials: tuple[tuple[CycNumber, ...], ...]):
+        _set(self, "eigenvalues", eigenvalues)
+        _set(self, "polynomials", polynomials)
 
     def to_json_obj(self) -> dict:
         return {

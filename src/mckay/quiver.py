@@ -15,12 +15,12 @@ diagram, branch vertex carrying the fork).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .chartab import CharacterTable
 from .errors import InternalError, InvariantError
 from .groups import GroupSpec
+from .record import Record, _set
 
 __all__ = [
     "CartanData",
@@ -42,21 +42,26 @@ class ClassificationError(InternalError):
     """The graph is not an affine ADE diagram."""
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(Record):
     """Affine Cartan data attached to a McKay quiver.
 
     standard_labeling[v] is the vertex of the reference diagram of
     ade_type that v corresponds to; the trivial vertex maps to 0.
     """
 
-    vertex_count: int
-    adjacency: Matrix
-    cartan: Matrix
-    delta: tuple[int, ...]
-    trivial_vertex: int
-    ade_type: str
-    standard_labeling: tuple[int, ...]
+    __slots__ = ("vertex_count", "adjacency", "cartan", "delta", "trivial_vertex",
+                 "ade_type", "standard_labeling")
+
+    def __init__(self, vertex_count: int, adjacency: Matrix, cartan: Matrix,
+                 delta: tuple[int, ...], trivial_vertex: int, ade_type: str,
+                 standard_labeling: tuple[int, ...]):
+        _set(self, "vertex_count", vertex_count)
+        _set(self, "adjacency", adjacency)
+        _set(self, "cartan", cartan)
+        _set(self, "delta", delta)
+        _set(self, "trivial_vertex", trivial_vertex)
+        _set(self, "ade_type", ade_type)
+        _set(self, "standard_labeling", standard_labeling)
 
     @property
     def rank(self) -> int:

@@ -20,11 +20,11 @@ points and the Cartan rank recovers dim g.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import InvariantError
 from .quiver import CartanData, Matrix, reference_affine, reference_finite
+from .record import Record, _set
 
 __all__ = [
     "RootSystem",
@@ -49,10 +49,15 @@ class MVStatus(enum.Enum):
     MINIMAL_RESOLUTION = "minimal_resolution"
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    cartan: Matrix
-    positive: tuple[tuple[int, ...], ...]
+class RootSystem(Record):
+    """The positive roots of a finite Cartan matrix, in the simple-root
+    basis, ordered by (height, vector): the highest root comes last."""
+
+    __slots__ = ("cartan", "positive", "__dict__")  # __dict__ holds _positive_set
+
+    def __init__(self, cartan: Matrix, positive: tuple[tuple[int, ...], ...]):
+        _set(self, "cartan", cartan)
+        _set(self, "positive", positive)
 
     @property
     def rank(self) -> int:
@@ -216,16 +221,16 @@ def reconstruct_g_dim(cd: CartanData) -> int:
     return count + cd.rank
 
 
-@dataclass(frozen=True)
-class AffineWeight:
+class AffineWeight(Record):
     """sum_i framing_i Lambda_i - sum_i drop_i alpha_i."""
 
-    framing: tuple[int, ...]
-    drop: tuple[int, ...]
+    __slots__ = ("framing", "drop")
 
-    def __post_init__(self):
-        if len(self.framing) != len(self.drop):
+    def __init__(self, framing: tuple[int, ...], drop: tuple[int, ...]):
+        if len(framing) != len(drop):
             raise ValueError("framing and drop must have the same length")
+        _set(self, "framing", framing)
+        _set(self, "drop", drop)
 
     def pairing(self, i: int, cd: CartanData) -> int:
         """<weight, alpha_i^vee> = w_i - (C v)_i."""

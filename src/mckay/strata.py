@@ -19,9 +19,9 @@ STRATA_BUDGET vectors and labels is refused before it starts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .quiver import CartanData
+from .record import Record, _set
 
 __all__ = [
     "StratumLabel",
@@ -36,40 +36,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StratumLabel:
+class StratumLabel(Record):
     """(locally-free part, partition of free-orbit multiplicities,
     residual multiplicity at the origin)."""
 
-    v0: tuple[int, ...]
-    lam: tuple[int, ...]
-    residual: int
-    candidate: bool = False
+    __slots__ = ("v0", "lam", "residual", "candidate")
 
-    def __post_init__(self):
-        if any(x < 0 for x in self.v0):
+    def __init__(self, v0: tuple[int, ...], lam: tuple[int, ...], residual: int,
+                 candidate: bool = False):
+        if any(x < 0 for x in v0):
             raise ValueError("v0 must be componentwise nonnegative")
-        if any(a <= 0 for a in self.lam):
+        if any(a <= 0 for a in lam):
             raise ValueError("partition parts must be positive")
-        if any(a < b for a, b in zip(self.lam, self.lam[1:])):
+        if any(a < b for a, b in zip(lam, lam[1:])):
             raise ValueError("partition parts must be weakly decreasing")
-        if self.residual < 0:
+        if residual < 0:
             raise ValueError("residual multiplicity must be nonnegative")
+        _set(self, "v0", v0)
+        _set(self, "lam", lam)
+        _set(self, "residual", residual)
+        _set(self, "candidate", candidate)
 
     def to_json_obj(self) -> dict:
         return {"v0": list(self.v0), "lam": list(self.lam),
                 "residual": self.residual, "candidate": self.candidate}
 
 
-@dataclass(frozen=True)
-class FiberLabel:
+class FiberLabel(Record):
     """Label of the fiber over a stratum point: a Lagrangian central
     fiber for the transported framing, times punctual pieces."""
 
-    lagrangian_v: tuple[int, ...]
-    transported_w: tuple[int, ...] | None
-    punctual_parts: tuple[int, ...]
-    empty: bool
+    __slots__ = ("lagrangian_v", "transported_w", "punctual_parts", "empty")
+
+    def __init__(self, lagrangian_v: tuple[int, ...], transported_w: tuple[int, ...] | None,
+                 punctual_parts: tuple[int, ...], empty: bool):
+        _set(self, "lagrangian_v", lagrangian_v)
+        _set(self, "transported_w", transported_w)
+        _set(self, "punctual_parts", punctual_parts)
+        _set(self, "empty", empty)
 
     def to_json_obj(self) -> dict:
         return {

@@ -19,6 +19,13 @@ def cyc_numbers(draw):
     return CycNumber(n, terms)
 
 
+def to_complex(a: CycNumber) -> complex:
+    """The value under zeta_N -> exp(2 pi i / N): a float check on the
+    exact arithmetic, which the package itself never uses."""
+    n = a.conductor
+    return sum(float(c) * cmath.exp(2j * cmath.pi * e / n) for e, c in a.terms)
+
+
 def test_i_squared_is_minus_one():
     i = root_of_unity(4, 1)
     assert i * i == -1
@@ -96,16 +103,16 @@ def test_inverse(a):
 
 @given(cyc_numbers(), cyc_numbers())
 def test_float_embedding_tracks_exact_arithmetic(a, b):
-    assert abs((a + b).to_complex() - (a.to_complex() + b.to_complex())) < 1e-9
-    assert abs((a * b).to_complex() - (a.to_complex() * b.to_complex())) < 1e-9
+    assert abs(to_complex(a + b) - (to_complex(a) + to_complex(b))) < 1e-9
+    assert abs(to_complex(a * b) - to_complex(a) * to_complex(b)) < 1e-9
 
 
 def test_equal_canonical_forms_embed_identically():
     z = root_of_unity(12)
     w = root_of_unity(4, 3) * root_of_unity(3)
     assert z == w
-    assert abs(z.to_complex() - w.to_complex()) < 1e-9
-    assert abs(z.to_complex() - cmath.exp(2j * cmath.pi / 12)) < 1e-9
+    assert abs(to_complex(z) - to_complex(w)) < 1e-9
+    assert abs(to_complex(z) - cmath.exp(2j * cmath.pi / 12)) < 1e-9
 
 
 @given(cyc_numbers())

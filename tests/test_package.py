@@ -1,4 +1,7 @@
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -7,7 +10,7 @@ import mckay
 
 MODULES = ["mckay", "mckay.cache", "mckay.chartab", "mckay.cli",
            "mckay.cyclotomic", "mckay.groups", "mckay.highest_weight",
-           "mckay.quiver", "mckay.roots", "mckay.strata"]
+           "mckay.quiver", "mckay.record", "mckay.roots", "mckay.strata"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -21,3 +24,17 @@ def test_the_package_all_lists_every_public_import():
     public = {n for n, v in vars(mckay).items()
               if not n.startswith("_") and not isinstance(v, ModuleType)}
     assert public == set(mckay.__all__)
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_floats():
+    # every `mckay` command is a fresh process, so what `import mckay.cli`
+    # pulls in is paid on each one; `dataclasses` alone brings `inspect`,
+    # `ast` and `dis`.  pytest has loaded them all here, hence the child.
+    slow = ["dataclasses", "inspect", "ast", "dis", "cmath"]
+    package_root = Path(mckay.__file__).resolve().parent.parent
+    code = f"import mckay.cli, sys; print(sorted(sys.modules.keys() & {set(slow)!r}))"
+    result = subprocess.run([sys.executable, "-s", "-c", code], capture_output=True,
+                            text=True, env={"PATH": "/usr/bin:/bin",
+                                            "PYTHONPATH": str(package_root)}, cwd="/")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,0 +1,153 @@
+"""Value semantics of the package's immutable record classes: how they
+are built, compared, hashed and refused."""
+
+from functools import cached_property
+
+import pytest
+
+from mckay.chartab import CharacterTable
+from mckay.groups import CLASS_BUDGET, FiniteSubgroup, GroupSpec
+from mckay.highest_weight import DrinfeldData, MultiplicityTable, drinfeld_polynomials
+from mckay.quiver import CartanData
+from mckay.roots import AffineWeight, RootSystem, root_system_for
+from mckay.strata import FiberLabel, StratumLabel
+
+from conftest import pipeline
+
+
+def _fields_of(obj, names):
+    return {name: getattr(obj, name) for name in names}
+
+
+def _cases():
+    """(class, keyword arguments in constructor order, every field or
+    None when the arguments are every field)."""
+    group, table, cd = pipeline("binary-dihedral:2")
+    system = root_system_for(cd)
+    drinfeld = drinfeld_polynomials([[2, 3], [5]])
+    return [
+        (GroupSpec, {"family": "cyclic", "parameter": 5}, ("family", "parameter")),
+        (FiniteSubgroup, _fields_of(group, ("spec", "elements", "mult_table")),
+         ("spec", "elements", "mult_table", "inverse_of", "element_orders", "exponent",
+          "classes", "class_of", "class_reps", "power_classes")),
+        (CharacterTable, _fields_of(table, ("group", "values")),
+         ("group", "values", "degrees", "class_sizes", "defining_values",
+          "mckay_adjacency")),
+        (CartanData, _fields_of(cd, ("vertex_count", "adjacency", "cartan", "delta",
+                                     "trivial_vertex", "ade_type", "standard_labeling")),
+         None),
+        (RootSystem, _fields_of(system, ("cartan", "positive")), None),
+        (AffineWeight, {"framing": (1, 0, 2), "drop": (0, 1, 1)}, None),
+        (MultiplicityTable, {"framing": (1, 0), "depth": 2, "cap": None,
+                             "entries": {(0, 0): 1, (1, 0): 1}}, None),
+        (DrinfeldData, _fields_of(drinfeld, ("eigenvalues", "polynomials")), None),
+        (StratumLabel, {"v0": (1, 0), "lam": (2, 1), "residual": 3, "candidate": True},
+         None),
+        (FiberLabel, {"lagrangian_v": (1, 2), "transported_w": None,
+                      "punctual_parts": (1,), "empty": False}, None),
+    ]
+
+
+CASES = [(cls, kwargs, fields or tuple(kwargs)) for cls, kwargs, fields in _cases()]
+IDS = [cls.__name__ for cls, _, _ in CASES]
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_positional_and_keyword_construction_agree(case):
+    cls, kwargs, fields = case
+    by_position = cls(*kwargs.values())
+    by_keyword = cls(**kwargs)
+    for name, value in kwargs.items():
+        assert getattr(by_position, name) == value
+    assert by_position == by_keyword
+    assert not by_position != by_keyword
+    assert repr(by_position) == repr(by_keyword)
+    assert repr(by_position).startswith(f"{cls.__name__}({fields[0]}=")
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_equal_fields_give_equal_objects_and_hashes(case):
+    cls, kwargs, _ = case
+    a, b = cls(**kwargs), cls(**kwargs)
+    assert a == b
+    if cls is MultiplicityTable:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_never_equal_to_another_type_with_the_same_values(case):
+    cls, kwargs, fields = case
+    obj = cls(**kwargs)
+    values = tuple(getattr(obj, name) for name in fields)
+    for other in (tuple(kwargs.values()), values, list(values), dict(kwargs)):
+        assert obj != other
+        assert other != obj
+        assert not obj == other
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_fields_cannot_be_set_or_deleted(case):
+    cls, kwargs, fields = case
+    obj = cls(**kwargs)
+    for name in (*fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, fields[0])
+    assert tuple(getattr(obj, name) for name in kwargs) == tuple(kwargs.values())
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_public_class_surface(case):
+    cls = case[0]
+    assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "(")
+    if cls not in (GroupSpec, AffineWeight):
+        assert "to_json_obj" in cls.__dict__
+    if cls in (FiniteSubgroup, CharacterTable, CartanData):
+        assert isinstance(cls.__dict__["from_json_obj"], staticmethod)
+
+
+def test_a_different_field_makes_objects_unequal():
+    assert GroupSpec("cyclic", 5) != GroupSpec("cyclic", 6)
+    assert StratumLabel((1,), (1,), 0) != StratumLabel((1,), (1,), 0, candidate=True)
+    assert AffineWeight((1, 0), (0, 0)) != AffineWeight((1, 0), (0, 1))
+    assert (MultiplicityTable((1,), 2, None, {(0,): 1})
+            != MultiplicityTable((1,), 2, None, {(0,): 2}))
+
+
+def test_defaults_are_kept():
+    assert GroupSpec("binary-icosahedral").parameter is None
+    assert GroupSpec("binary-icosahedral") == GroupSpec("binary-icosahedral", None)
+    assert StratumLabel((0,), (), 1).candidate is False
+
+
+def test_positive_set_is_a_cached_property():
+    system = root_system_for(pipeline("binary-dihedral:2")[2])
+    assert isinstance(RootSystem.__dict__["_positive_set"], cached_property)
+    assert system._positive_set is system._positive_set
+    assert system._positive_set == frozenset(system.positive)
+    assert system.is_root(system.highest_root)
+    # the cache does not take part in equality or hashing
+    fresh = RootSystem(system.cartan, system.positive)
+    assert fresh == system and hash(fresh) == hash(system)
+
+
+def test_validation_errors_still_raise():
+    with pytest.raises(ValueError, match="same length"):
+        AffineWeight((1, 0), (0,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        StratumLabel((-1,), (1,), 0)
+    with pytest.raises(ValueError, match="positive"):
+        StratumLabel((0,), (1, 0), 0)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        StratumLabel((0,), (1, 2), 0)
+    with pytest.raises(ValueError, match="residual"):
+        StratumLabel((0,), (1,), -1)
+    with pytest.raises(ValueError, match="class budget"):
+        GroupSpec("cyclic", CLASS_BUDGET + 1)
+    with pytest.raises(ValueError, match="takes no parameter"):
+        GroupSpec(family="binary-octahedral", parameter=3)
