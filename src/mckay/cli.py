@@ -60,7 +60,9 @@ def load_pipeline(spec: GroupSpec, use_cache: bool = True
     return group, table, mckay_quiver(table)
 
 
-def _parse_int_vector(text: str, length: int, label: str) -> tuple[int, ...]:
+def _parse_int_vector(text: str, length: int | None, label: str) -> tuple[int, ...]:
+    """A comma-separated integer list, of the given length unless that
+    is None; an empty text is the empty list."""
     if text.strip() == "":
         values: tuple[int, ...] = ()
     else:
@@ -68,7 +70,7 @@ def _parse_int_vector(text: str, length: int, label: str) -> tuple[int, ...]:
             values = tuple(int(x) for x in text.split(","))
         except ValueError:
             raise ValueError(f"--{label} must be a comma-separated integer list")
-    if len(values) != length:
+    if length is not None and len(values) != length:
         raise ValueError(f"--{label} must have {length} entries, got {len(values)}")
     return values
 
@@ -231,8 +233,7 @@ def _dispatch(args) -> None:
         v = _parse_int_vector(args.v, cartan.vertex_count, "v")
         w = _parse_int_vector(args.w, cartan.vertex_count, "w")
         v0 = _parse_int_vector(args.v0, cartan.vertex_count, "v0")
-        lam = tuple(sorted((int(x) for x in args.lam.split(",") if x.strip()),
-                           reverse=True))
+        lam = tuple(sorted(_parse_int_vector(args.lam, None, "lam"), reverse=True))
         if any(part <= 0 for part in lam):
             raise ValueError("--lam parts must be positive integers")
         _emit(fiber_parts(v, w, v0, lam, cartan).to_json_obj())

@@ -388,15 +388,26 @@ def weylkac_box(w, cd: CartanData, cap) -> MultiplicityTable:
 
 
 class DrinfeldData(Record):
-    """Per-vertex eigenvalue multisets and their polynomials P_i with
-    P_i(0) = 1; coefficients are listed from the constant term up."""
+    """Per-vertex eigenvalue multisets and the polynomials P_i(u), the
+    product over the i-th multiset of (1 - a u), which the constructor
+    derives; coefficients are listed from the constant term up, so
+    P_i(0) = 1."""
 
     __slots__ = ("eigenvalues", "polynomials")
 
-    def __init__(self, eigenvalues: tuple[tuple[CycNumber, ...], ...],
-                 polynomials: tuple[tuple[CycNumber, ...], ...]):
+    def __init__(self, eigenvalues: tuple[tuple[CycNumber, ...], ...]):
         _set(self, "eigenvalues", eigenvalues)
-        _set(self, "polynomials", polynomials)
+        polynomials = []
+        for values in eigenvalues:
+            poly = [CycNumber.coerce(1)]
+            for a in values:
+                nxt = [CycNumber.coerce(0)] * (len(poly) + 1)
+                for k, c in enumerate(poly):
+                    nxt[k] = nxt[k] + c
+                    nxt[k + 1] = nxt[k + 1] - a * c
+                poly = nxt
+            polynomials.append(tuple(poly))
+        _set(self, "polynomials", tuple(polynomials))
 
     def to_json_obj(self) -> dict:
         return {
@@ -408,22 +419,14 @@ class DrinfeldData(Record):
 
 
 def drinfeld_polynomials(eigenvalue_multisets) -> DrinfeldData:
-    """P_i(u) = prod over the i-th multiset of (1 - a u)."""
+    """P_i(u) = prod over the i-th multiset of (1 - a u); each multiset
+    is coerced to cyclotomic numbers and sorted, and an eigenvalue 0 is
+    refused."""
     multisets = []
-    polynomials = []
     for values in eigenvalue_multisets:
         coerced = sorted((CycNumber.coerce(a) for a in values),
                          key=lambda a: a.sort_key())
         if any(a.is_zero() for a in coerced):
             raise ValueError("eigenvalue 0 is not invertible")
-        poly = [CycNumber.coerce(1)]
-        for a in coerced:
-            nxt = [CycNumber.coerce(0)] * (len(poly) + 1)
-            for k, c in enumerate(poly):
-                nxt[k] = nxt[k] + c
-                nxt[k + 1] = nxt[k + 1] - a * c
-            poly = nxt
         multisets.append(tuple(coerced))
-        polynomials.append(tuple(poly))
-    return DrinfeldData(eigenvalues=tuple(multisets),
-                        polynomials=tuple(polynomials))
+    return DrinfeldData(tuple(multisets))

@@ -43,25 +43,44 @@ class ClassificationError(InternalError):
 
 
 class CartanData(Record):
-    """Affine Cartan data attached to a McKay quiver.
+    """Affine Cartan data of a quiver with delta as its dimension vector.
+    The constructor checks: no loops, symmetry, C * delta = 0, delta
+    positive and primitive, a one-dimensional kernel, and classification
+    with the trivial vertex as the root; it derives the vertex count,
+    the Cartan matrix C = 2I - A, the type and the labeling.
 
     standard_labeling[v] is the vertex of the reference diagram of
     ade_type that v corresponds to; the trivial vertex maps to 0.
     """
 
-    __slots__ = ("vertex_count", "adjacency", "cartan", "delta", "trivial_vertex",
+    __slots__ = ("adjacency", "delta", "trivial_vertex", "vertex_count", "cartan",
                  "ade_type", "standard_labeling")
 
-    def __init__(self, vertex_count: int, adjacency: Matrix, cartan: Matrix,
-                 delta: tuple[int, ...], trivial_vertex: int, ade_type: str,
-                 standard_labeling: tuple[int, ...]):
-        _set(self, "vertex_count", vertex_count)
+    def __init__(self, adjacency: Matrix, delta: tuple[int, ...], trivial_vertex: int):
         _set(self, "adjacency", adjacency)
-        _set(self, "cartan", cartan)
         _set(self, "delta", delta)
         _set(self, "trivial_vertex", trivial_vertex)
+        r = len(adjacency)
+        for i in range(r):
+            if adjacency[i][i] != 0:
+                raise InvariantError(f"loop at vertex {i}: catalog quivers have none")
+            for j in range(r):
+                if adjacency[i][j] != adjacency[j][i]:
+                    raise InvariantError("quiver adjacency is not symmetric")
+        cartan = tuple(tuple((2 if i == j else 0) - adjacency[i][j] for j in range(r))
+                       for i in range(r))
+        if any(sum(cartan[i][j] * delta[j] for j in range(r)) != 0 for i in range(r)):
+            raise InvariantError("C * delta != 0")
+        if min(delta) < 1 or delta[trivial_vertex] != 1:
+            raise InvariantError("delta is not a primitive positive kernel vector")
+        # C = C^T and C delta = 0 give adj C = c delta delta^T; this minor is c
+        if matrix_determinant(_delete_vertex(cartan, trivial_vertex)) == 0:
+            raise InvariantError("kernel of the affine Cartan matrix is not a line")
+        ade_type, labeling = classify_ade(adjacency, delta, root_vertex=trivial_vertex)
+        _set(self, "vertex_count", r)
+        _set(self, "cartan", cartan)
         _set(self, "ade_type", ade_type)
-        _set(self, "standard_labeling", standard_labeling)
+        _set(self, "standard_labeling", labeling)
 
     @property
     def rank(self) -> int:
@@ -84,13 +103,12 @@ class CartanData(Record):
 
     @staticmethod
     def from_json_obj(obj: dict) -> CartanData:
-        """Rebuilt from the adjacency, delta and trivial vertex, with every
-        invariant checked again; the stored JSON must serialize to the
-        rebuilt data's text, so the Cartan matrix, type, labeling and
-        every integer's spelling must match."""
-        cd = _verified_cartan_data(
-            tuple(tuple(int(a) for a in row) for row in obj["adjacency"]),
-            tuple(int(d) for d in obj["delta"]), int(obj["trivial_vertex"]))
+        """Rebuilt by the constructor from the adjacency, delta and
+        trivial vertex, with every invariant checked again; the stored
+        JSON must serialize to the rebuilt data's text, so the Cartan
+        matrix, type, labeling and every integer's spelling must match."""
+        cd = CartanData(tuple(tuple(int(a) for a in row) for row in obj["adjacency"]),
+                        tuple(int(d) for d in obj["delta"]), int(obj["trivial_vertex"]))
         if json.dumps(cd.to_json_obj()) != json.dumps(obj):
             raise InvariantError("stored Cartan data or JSON integers differ from "
                                  "what their quiver gives")
@@ -259,44 +277,7 @@ def _delete_vertex(matrix: Matrix, vertex: int) -> Matrix:
 def mckay_quiver(table: CharacterTable) -> CartanData:
     """Adjacency a_ij = multiplicity of character j in (defining * i),
     as the table's constructor proved it."""
-    return _verified_cartan_data(table.mckay_adjacency, tuple(table.degrees),
-                                 table.trivial_index)
-
-
-def _verified_cartan_data(adjacency: Matrix, delta: tuple[int, ...],
-                          trivial: int) -> CartanData:
-    """Cartan data of a quiver with delta as its dimension vector, after
-    checking: no loops, symmetry, C * delta = 0, delta positive and
-    primitive, a one-dimensional kernel, and classification with the
-    trivial vertex as the root."""
-    r = len(adjacency)
-    for i in range(r):
-        if adjacency[i][i] != 0:
-            raise InvariantError(f"loop at vertex {i}: catalog quivers have none")
-        for j in range(r):
-            if adjacency[i][j] != adjacency[j][i]:
-                raise InvariantError("quiver adjacency is not symmetric")
-
-    cartan = tuple(tuple((2 if i == j else 0) - adjacency[i][j] for j in range(r))
-                   for i in range(r))
-    if any(sum(cartan[i][j] * delta[j] for j in range(r)) != 0 for i in range(r)):
-        raise InvariantError("C * delta != 0")
-    if min(delta) < 1 or delta[trivial] != 1:
-        raise InvariantError("delta is not a primitive positive kernel vector")
-    # C = C^T and C delta = 0 give adj C = c delta delta^T; this minor is c
-    if matrix_determinant(_delete_vertex(cartan, trivial)) == 0:
-        raise InvariantError("kernel of the affine Cartan matrix is not a line")
-
-    ade_type, labeling = classify_ade(adjacency, delta, root_vertex=trivial)
-    return CartanData(
-        vertex_count=r,
-        adjacency=adjacency,
-        cartan=cartan,
-        delta=delta,
-        trivial_vertex=trivial,
-        ade_type=ade_type,
-        standard_labeling=labeling,
-    )
+    return CartanData(table.mckay_adjacency, table.degrees, table.trivial_index)
 
 
 def finite_cartan(cd: CartanData) -> Matrix:

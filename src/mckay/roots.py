@@ -51,13 +51,23 @@ class MVStatus(enum.Enum):
 
 class RootSystem(Record):
     """The positive roots of a finite Cartan matrix, in the simple-root
-    basis, ordered by (height, vector): the highest root comes last."""
+    basis, ordered by (height, vector): the highest root comes last.
+    The constructor generates them two ways, by root-string closure and
+    by the reflection orbit of the simple roots, and requires the two
+    sets to agree and the highest root to be unique."""
 
     __slots__ = ("cartan", "positive", "__dict__")  # __dict__ holds _positive_set
 
-    def __init__(self, cartan: Matrix, positive: tuple[tuple[int, ...], ...]):
+    def __init__(self, cartan: Matrix):
         _set(self, "cartan", cartan)
-        _set(self, "positive", positive)
+        by_strings = _roots_by_string_closure(cartan)
+        if by_strings != _roots_by_reflection_orbit(cartan):
+            raise InvariantError("string closure and reflection orbit disagree")
+        ordered = sorted(by_strings, key=lambda b: (sum(b), b))
+        heights = [sum(b) for b in ordered]
+        if heights.count(heights[-1]) != 1:
+            raise InvariantError("highest root is not unique")
+        _set(self, "positive", tuple(ordered))
 
     @property
     def rank(self) -> int:
@@ -145,17 +155,8 @@ def _roots_by_reflection_orbit(cartan: Matrix) -> set[tuple[int, ...]]:
 
 
 def positive_roots(cartan_finite: Matrix) -> RootSystem:
-    """Generate the positive roots; the two methods must agree."""
-    cartan = tuple(tuple(row) for row in cartan_finite)
-    by_strings = _roots_by_string_closure(cartan)
-    by_orbit = _roots_by_reflection_orbit(cartan)
-    if by_strings != by_orbit:
-        raise InvariantError("string closure and reflection orbit disagree")
-    ordered = sorted(by_strings, key=lambda b: (sum(b), b))
-    heights = [sum(b) for b in ordered]
-    if heights.count(heights[-1]) != 1:
-        raise InvariantError("highest root is not unique")
-    return RootSystem(cartan=cartan, positive=tuple(ordered))
+    """The root system of a finite Cartan matrix given as any rows."""
+    return RootSystem(tuple(tuple(row) for row in cartan_finite))
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ STRATA_BUDGET vectors and labels is refused before it starts.
 from __future__ import annotations
 
 import itertools
+from operator import mul, sub
 
 from .quiver import CartanData
 from .record import Record, _set
@@ -38,12 +39,12 @@ __all__ = [
 
 class StratumLabel(Record):
     """(locally-free part, partition of free-orbit multiplicities,
-    residual multiplicity at the origin)."""
+    residual multiplicity at the origin).  A label with a nonzero
+    locally-free part is only a candidate."""
 
     __slots__ = ("v0", "lam", "residual", "candidate")
 
-    def __init__(self, v0: tuple[int, ...], lam: tuple[int, ...], residual: int,
-                 candidate: bool = False):
+    def __init__(self, v0: tuple[int, ...], lam: tuple[int, ...], residual: int):
         if any(x < 0 for x in v0):
             raise ValueError("v0 must be componentwise nonnegative")
         if any(a <= 0 for a in lam):
@@ -55,7 +56,7 @@ class StratumLabel(Record):
         _set(self, "v0", v0)
         _set(self, "lam", lam)
         _set(self, "residual", residual)
-        _set(self, "candidate", candidate)
+        _set(self, "candidate", any(v0))
 
     def to_json_obj(self) -> dict:
         return {"v0": list(self.v0), "lam": list(self.lam),
@@ -64,16 +65,18 @@ class StratumLabel(Record):
 
 class FiberLabel(Record):
     """Label of the fiber over a stratum point: a Lagrangian central
-    fiber for the transported framing, times punctual pieces."""
+    fiber for the transported framing, times punctual pieces.  It is
+    empty when the Lagrangian label has a negative entry or there is no
+    transported framing."""
 
     __slots__ = ("lagrangian_v", "transported_w", "punctual_parts", "empty")
 
     def __init__(self, lagrangian_v: tuple[int, ...], transported_w: tuple[int, ...] | None,
-                 punctual_parts: tuple[int, ...], empty: bool):
+                 punctual_parts: tuple[int, ...]):
         _set(self, "lagrangian_v", lagrangian_v)
         _set(self, "transported_w", transported_w)
         _set(self, "punctual_parts", punctual_parts)
-        _set(self, "empty", empty)
+        _set(self, "empty", transported_w is None or any(a < 0 for a in lagrangian_v))
 
     def to_json_obj(self) -> dict:
         return {
@@ -134,17 +137,25 @@ def enumerate_strata_rank1(n: int, cd: CartanData) -> list[StratumLabel]:
     return _list_strata(n, [zero], w, cd)
 
 
+def _check_lengths(cd: CartanData, *vectors: tuple[int, ...]) -> None:
+    for x in vectors:
+        if len(x) != cd.vertex_count:
+            raise ValueError(f"each vector must have {cd.vertex_count} entries, "
+                             "one per vertex")
+
+
 def cartan_apply(cd: CartanData, v) -> tuple[int, ...]:
     v = tuple(v)
-    return tuple(sum(row[j] * v[j] for j in range(cd.vertex_count))
-                 for row in cd.cartan)
+    _check_lengths(cd, v)
+    return tuple(sum(map(mul, row, v)) for row in cd.cartan)
 
 
 def transported_framing(w, v0, cd: CartanData) -> tuple[int, ...] | None:
     """w - C v0 when componentwise nonnegative, else None: the fiber of
     the locally-free part at the origin must be a representation."""
-    w, v0 = tuple(w), tuple(v0)
-    moved = tuple(a - b for a, b in zip(w, cartan_apply(cd, v0)))
+    w = tuple(w)
+    _check_lengths(cd, w)
+    moved = tuple(map(sub, w, cartan_apply(cd, v0)))
     return moved if min(moved) >= 0 else None
 
 
@@ -153,15 +164,10 @@ def fiber_parts(v, w, v0, lam, cd: CartanData) -> FiberLabel:
     v - v0 - m*delta with the transported framing, and one punctual
     factor per partition part."""
     v, w, v0, lam = tuple(v), tuple(w), tuple(v0), tuple(lam)
+    _check_lengths(cd, v, w, v0)
     m = sum(lam)
     lagrangian = tuple(a - b - m * d for a, b, d in zip(v, v0, cd.delta))
-    moved = transported_framing(w, v0, cd)
-    return FiberLabel(
-        lagrangian_v=lagrangian,
-        transported_w=moved,
-        punctual_parts=lam,
-        empty=min(lagrangian) < 0 or moved is None,
-    )
+    return FiberLabel(lagrangian, transported_framing(w, v0, cd), lam)
 
 
 def _bounded_vectors(weights: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
@@ -217,9 +223,7 @@ def _list_strata(n: int, v0s: list[tuple[int, ...]], w: tuple[int, ...],
     for v0, used in kept:
         for m in range((n - used) // order, -1, -1):
             for lam in partitions(m):
-                labels.append(StratumLabel(v0=v0, lam=lam,
-                                           residual=n - used - order * m,
-                                           candidate=any(v0)))
+                labels.append(StratumLabel(v0, lam, n - used - order * m))
     labels.sort(key=lambda s: (sum(a * d for a, d in zip(s.v0, cd.delta)), s.v0,
                                -sum(s.lam), s.lam))
     return labels

@@ -225,8 +225,7 @@ def test_criterion_8_fiber_bookkeeping_identity():
             parts = tuple(sorted((rng.randrange(1, 4)
                                   for _ in range(rng.randrange(3))),
                                  reverse=True))
-            stratum = StratumLabel(v0=v0, lam=parts, residual=0,
-                                   candidate=True)
+            stratum = StratumLabel(v0=v0, lam=parts, residual=0)
             fiber = fiber_parts(v, w, stratum.v0, stratum.lam, cd)
             if fiber.empty:
                 continue

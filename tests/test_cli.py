@@ -237,6 +237,21 @@ def test_group_json_contains_table_and_classes(capsys):
     assert len(data["mult_table"]) == 8
 
 
+@pytest.mark.parametrize("lam", ["1,,2", "x", "1,"])
+def test_fiber_lam_that_is_not_an_integer_list_exits_2(capsys, lam):
+    code, out, err = invoke(capsys, "fiber", "cyclic:2", "--v", "1,1",
+                            "--w", "1,0", "--v0", "0,0", "--lam", lam)
+    assert code == 2 and out == ""
+    assert err == "error: --lam must be a comma-separated integer list\n"
+
+
+def test_fiber_empty_lam_is_the_empty_partition(capsys):
+    code, out, _ = invoke(capsys, "fiber", "cyclic:2", "--v", "1,1",
+                          "--w", "1,0", "--v0", "0,0", "--lam", "")
+    assert code == 0
+    assert json.loads(out)["punctual_parts"] == []
+
+
 def test_fiber_subcommand_with_oversized_stratum(capsys):
     code, out, _ = invoke(capsys, "fiber", "cyclic:2", "--v", "1,1",
                           "--w", "1,0", "--v0", "0,0", "--lam", "2")

@@ -210,10 +210,16 @@ def test_matrix_determinant(matrix, det):
 def test_finite_cartan_rejects_a_finite_part_that_is_not_positive_definite():
     # deleting vertex 0 leaves the affine A~1 matrix, whose determinant is 0
     adjacency = ((0, 0, 0), (0, 0, 2), (0, 2, 0))
-    cd = CartanData(vertex_count=3, adjacency=adjacency,
-                    cartan=((2, 0, 0), (0, 2, -2), (0, -2, 2)),
-                    delta=(1, 1, 1), trivial_vertex=0, ade_type="A~2",
-                    standard_labeling=(0, 1, 2))
+    # the constructor refuses this datum, so it is assembled field by
+    # field to reach finite_cartan's own check
+    with pytest.raises(InvariantError, match=r"C \* delta != 0"):
+        CartanData(adjacency, (1, 1, 1), 0)
+    cd = object.__new__(CartanData)
+    for name, value in (("adjacency", adjacency), ("delta", (1, 1, 1)),
+                        ("trivial_vertex", 0), ("vertex_count", 3),
+                        ("cartan", ((2, 0, 0), (0, 2, -2), (0, -2, 2))),
+                        ("ade_type", "A~2"), ("standard_labeling", (0, 1, 2))):
+        object.__setattr__(cd, name, value)
     with pytest.raises(InvariantError, match="not positive definite"):
         finite_cartan(cd)
 

@@ -6,6 +6,8 @@ from functools import cached_property
 import pytest
 
 from mckay.chartab import CharacterTable
+from mckay.cyclotomic import CycNumber
+from mckay.errors import InvariantError
 from mckay.groups import CLASS_BUDGET, FiniteSubgroup, GroupSpec
 from mckay.highest_weight import DrinfeldData, MultiplicityTable, drinfeld_polynomials
 from mckay.quiver import CartanData
@@ -33,18 +35,20 @@ def _cases():
         (CharacterTable, _fields_of(table, ("group", "values")),
          ("group", "values", "degrees", "class_sizes", "defining_values",
           "mckay_adjacency")),
-        (CartanData, _fields_of(cd, ("vertex_count", "adjacency", "cartan", "delta",
-                                     "trivial_vertex", "ade_type", "standard_labeling")),
-         None),
-        (RootSystem, _fields_of(system, ("cartan", "positive")), None),
+        (CartanData, _fields_of(cd, ("adjacency", "delta", "trivial_vertex")),
+         ("adjacency", "delta", "trivial_vertex", "vertex_count", "cartan", "ade_type",
+          "standard_labeling")),
+        (RootSystem, {"cartan": system.cartan}, ("cartan", "positive")),
         (AffineWeight, {"framing": (1, 0, 2), "drop": (0, 1, 1)}, None),
         (MultiplicityTable, {"framing": (1, 0), "depth": 2, "cap": None,
                              "entries": {(0, 0): 1, (1, 0): 1}}, None),
-        (DrinfeldData, _fields_of(drinfeld, ("eigenvalues", "polynomials")), None),
-        (StratumLabel, {"v0": (1, 0), "lam": (2, 1), "residual": 3, "candidate": True},
-         None),
+        (DrinfeldData, {"eigenvalues": drinfeld.eigenvalues},
+         ("eigenvalues", "polynomials")),
+        (StratumLabel, {"v0": (1, 0), "lam": (2, 1), "residual": 3},
+         ("v0", "lam", "residual", "candidate")),
         (FiberLabel, {"lagrangian_v": (1, 2), "transported_w": None,
-                      "punctual_parts": (1,), "empty": False}, None),
+                      "punctual_parts": (1,)},
+         ("lagrangian_v", "transported_w", "punctual_parts", "empty")),
     ]
 
 
@@ -113,7 +117,7 @@ def test_public_class_surface(case):
 
 def test_a_different_field_makes_objects_unequal():
     assert GroupSpec("cyclic", 5) != GroupSpec("cyclic", 6)
-    assert StratumLabel((1,), (1,), 0) != StratumLabel((1,), (1,), 0, candidate=True)
+    assert StratumLabel((0,), (1,), 0) != StratumLabel((1,), (1,), 0)
     assert AffineWeight((1, 0), (0, 0)) != AffineWeight((1, 0), (0, 1))
     assert (MultiplicityTable((1,), 2, None, {(0,): 1})
             != MultiplicityTable((1,), 2, None, {(0,): 2}))
@@ -132,7 +136,7 @@ def test_positive_set_is_a_cached_property():
     assert system._positive_set == frozenset(system.positive)
     assert system.is_root(system.highest_root)
     # the cache does not take part in equality or hashing
-    fresh = RootSystem(system.cartan, system.positive)
+    fresh = RootSystem(system.cartan)
     assert fresh == system and hash(fresh) == hash(system)
 
 
@@ -151,3 +155,73 @@ def test_validation_errors_still_raise():
         GroupSpec("cyclic", CLASS_BUDGET + 1)
     with pytest.raises(ValueError, match="takes no parameter"):
         GroupSpec(family="binary-octahedral", parameter=3)
+
+
+# -- derived fields follow their defining data --------------------------
+
+_A1 = ((0, 2), (2, 0))
+_TRIANGLE = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+_D4 = ((0, 1, 0, 0, 0), (1, 0, 1, 1, 1), (0, 1, 0, 0, 0), (0, 1, 0, 0, 0),
+       (0, 1, 0, 0, 0))
+
+
+def test_vertex_count_follows_the_adjacency():
+    assert CartanData(_A1, (1, 1), 0).vertex_count == 2
+    assert CartanData(_TRIANGLE, (1, 1, 1), 0).vertex_count == 3
+
+
+def test_cartan_matrix_is_two_minus_the_adjacency():
+    assert CartanData(_A1, (1, 1), 0).cartan == ((2, -2), (-2, 2))
+    assert CartanData(_TRIANGLE, (1, 1, 1), 0).cartan == \
+        ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+
+
+def test_ade_type_follows_the_graph():
+    assert CartanData(_TRIANGLE, (1, 1, 1), 0).ade_type == "A~2"
+    assert CartanData(_D4, (1, 2, 1, 1, 1), 0).ade_type == "D~4"
+
+
+def test_standard_labeling_follows_the_trivial_vertex():
+    assert CartanData(_TRIANGLE, (1, 1, 1), 0).standard_labeling == (0, 1, 2)
+    assert CartanData(_TRIANGLE, (1, 1, 1), 2).standard_labeling == (1, 2, 0)
+    assert CartanData(_D4, (1, 2, 1, 1, 1), 3).standard_labeling == (1, 2, 3, 0, 4)
+
+
+def test_positive_roots_follow_the_cartan_matrix():
+    assert RootSystem(((2,),)).positive == ((1,),)
+    assert RootSystem(((2, -1), (-1, 2))).positive == ((0, 1), (1, 0), (1, 1))
+    with pytest.raises(InvariantError, match="highest root is not unique"):
+        RootSystem(((2, 0), (0, 2)))
+
+
+def test_polynomials_follow_the_eigenvalues():
+    two, three = CycNumber.coerce(2), CycNumber.coerce(3)
+    assert DrinfeldData(((two, three), ())).polynomials == ((1, -5, 6), (1,))
+    assert DrinfeldData(((three,),)).polynomials == ((1, -3),)
+
+
+def test_candidate_follows_v0():
+    assert StratumLabel((0, 0), (1,), 2).candidate is False
+    assert StratumLabel((0, 1), (1,), 2).candidate is True
+
+
+def test_empty_follows_the_lagrangian_label_and_the_transported_framing():
+    assert FiberLabel((1, 0), (1, 0), ()).empty is False
+    assert FiberLabel((1, -1), (1, 0), ()).empty is True
+    assert FiberLabel((1, 0), None, ()).empty is True
+
+
+@pytest.mark.parametrize("adjacency,delta,message", [
+    (((2, 0), (0, 0)), (1, 1), "loop at vertex 0"),
+    (((0, 1), (2, 0)), (1, 1), "adjacency is not symmetric"),
+    (_A1, (1, 2), r"C \* delta != 0"),
+    (_A1, (0, 0), "not a primitive positive kernel vector"),
+    (_A1, (2, 2), "not a primitive positive kernel vector"),
+    # two disjoint A~1 diagrams: delta is on each, so the kernel is a plane
+    (((0, 2, 0, 0), (2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0)), (1, 1, 1, 1),
+     "kernel of the affine Cartan matrix is not a line"),
+], ids=["loop", "asymmetric", "not-in-kernel", "not-positive", "not-primitive",
+        "disconnected"])
+def test_cartan_data_refuses_data_that_do_not_verify(adjacency, delta, message):
+    with pytest.raises(InvariantError, match=message):
+        CartanData(adjacency, delta, 0)

@@ -123,8 +123,8 @@ def test_fiber_decomposition_zero_stratum_is_identity():
     v = (2, 1, 0, 1, 2)
     w = (1, 0, 0, 1, 0)
     fiber = fiber_parts(v, w, s.v0, s.lam, cd)
-    assert fiber == FiberLabel(lagrangian_v=v, transported_w=w,
-                               punctual_parts=(), empty=False)
+    assert fiber == FiberLabel(lagrangian_v=v, transported_w=w, punctual_parts=())
+    assert not fiber.empty
 
 
 def test_fiber_decomposition_delta_example():
@@ -143,6 +143,24 @@ def test_fiber_decomposition_flags_negative_labels():
     assert fiber.empty
 
 
+@pytest.mark.parametrize("v,w,v0", [
+    ((1,), (1, 0, 0), (0, 0, 0)),
+    ((1, 0, 0), (1, 0, 0, 5), (0, 0, 0)),
+    ((1, 0, 0), (1, 0, 0), (0, 0)),
+    ((1, 0, 0), (1, 0, 0, 5), (0, 0)),
+], ids=["short-v", "long-w", "short-v0", "long-w-and-short-v0"])
+def test_vectors_of_the_wrong_length_are_refused(v, w, v0):
+    _, _, cd = pipeline("cyclic:3")
+    with pytest.raises(ValueError, match="3 entries, one per vertex"):
+        fiber_parts(v, w, v0, (), cd)
+    if len(v) == 3:
+        with pytest.raises(ValueError, match="3 entries, one per vertex"):
+            transported_framing(w, v0, cd)
+    if len(v0) != 3:
+        with pytest.raises(ValueError, match="3 entries, one per vertex"):
+            cartan_apply(cd, v0)
+
+
 def test_fiber_bookkeeping_identity_raw():
     rng = random.Random(23)
     for text in ["cyclic:3", "binary-dihedral:2"]:
@@ -154,7 +172,7 @@ def test_fiber_bookkeeping_identity_raw():
             v0 = tuple(rng.randrange(2) for _ in range(n))
             lam = tuple(sorted((rng.randrange(1, 3)
                                 for _ in range(rng.randrange(3))), reverse=True))
-            s = StratumLabel(v0=v0, lam=lam, residual=0, candidate=True)
+            s = StratumLabel(v0=v0, lam=lam, residual=0)
             fiber = fiber_parts(v, w, s.v0, s.lam, cd)
             if fiber.empty:
                 continue
