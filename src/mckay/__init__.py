@@ -17,15 +17,13 @@ from .groups import (FiniteSubgroup, GroupElement, GroupSpec, build_group,
 from .highest_weight import (DrinfeldData, MultiplicityTable,
                              drinfeld_polynomials, freudenthal,
                              freudenthal_box, weylkac_box, weylkac_oracle)
-from .quiver import (CartanData, classify_ade, expected_ade_type,
-                     finite_cartan, mckay_quiver, reference_affine,
-                     reference_finite, to_dot)
-from .roots import (AffineWeight, MVStatus, RootSystem, dominance_leq,
-                    m_v_status, positive_roots, reconstruct_g_dim,
-                    restrict_to_finite, root_system_for, weyl_reflect)
+from .quiver import (CartanData, classify_ade, expected_ade_type, mckay_quiver,
+                     reference_affine, reference_finite, to_dot)
+from .roots import (MVStatus, RootSystem, m_v_status, positive_roots,
+                    reconstruct_g_dim, restrict_to_finite, root_system_for)
 from .strata import (FiberLabel, StratumLabel, cartan_apply,
                      enumerate_strata, enumerate_strata_rank1, fiber_parts,
-                     fixed_sym_product, partitions, transported_framing)
+                     partitions, transported_framing)
 
 __all__ = [
     "CharacterTable", "character_table", "inner_product", "CycNumber",
@@ -33,12 +31,11 @@ __all__ = [
     "GroupElement", "GroupSpec", "build_group", "defining_character",
     "DrinfeldData", "MultiplicityTable", "drinfeld_polynomials",
     "freudenthal", "freudenthal_box", "weylkac_box", "weylkac_oracle",
-    "CartanData", "classify_ade", "expected_ade_type", "finite_cartan",
-    "mckay_quiver", "reference_affine", "reference_finite", "to_dot",
-    "AffineWeight", "MVStatus", "RootSystem", "dominance_leq", "m_v_status",
-    "positive_roots", "reconstruct_g_dim", "restrict_to_finite",
-    "root_system_for", "weyl_reflect", "FiberLabel", "StratumLabel",
+    "CartanData", "classify_ade", "expected_ade_type", "mckay_quiver",
+    "reference_affine", "reference_finite", "to_dot", "MVStatus",
+    "RootSystem", "m_v_status", "positive_roots", "reconstruct_g_dim",
+    "restrict_to_finite", "root_system_for", "FiberLabel", "StratumLabel",
     "cartan_apply", "enumerate_strata", "enumerate_strata_rank1",
-    "fiber_parts", "fixed_sym_product", "partitions", "transported_framing",
+    "fiber_parts", "partitions", "transported_framing",
 ]
 __version__ = "0.1.0"

@@ -80,10 +80,6 @@ class CharacterTable(Record):
     def n_classes(self) -> int:
         return len(self.class_sizes)
 
-    @property
-    def group_order(self) -> int:
-        return self.group.order
-
     def to_json_obj(self) -> dict:
         return {
             "spec": str(self.group.spec),

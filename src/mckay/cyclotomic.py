@@ -212,9 +212,6 @@ class CycNumber:
     def is_zero(self) -> bool:
         return not self.numerators
 
-    def is_rational(self) -> bool:
-        return self.conductor == 1
-
     def rational_value(self) -> Fraction:
         if self.conductor != 1:
             raise ValueError(f"{self} is not rational")
@@ -339,37 +336,11 @@ class CycNumber:
         """Complex conjugation, zeta -> zeta^-1."""
         return self.galois(self.conductor - 1) if self.conductor > 1 else self
 
-    def inv(self) -> CycNumber:
-        """Multiplicative inverse, via the product of Galois conjugates."""
-        if not self.numerators:
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.conductor == 1:
-            return CycNumber.coerce(1 / self.rational_value())
-        n = self.conductor
-        cofactor = _ONE
-        for k in range(2, n):
-            if gcd(k, n) == 1:
-                cofactor = cofactor * self.galois(k)
-        norm = self * cofactor
-        if not norm.is_rational():
-            raise ArithmeticError("norm of a cyclotomic number must be rational")
-        return cofactor * (1 / norm.rational_value())
-
-    def __truediv__(self, other) -> CycNumber:
-        try:
-            other = CycNumber.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other) -> CycNumber:
-        return CycNumber.coerce(other) * self.inv()
-
     def __pow__(self, exponent: int) -> CycNumber:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return self.inv() ** (-exponent)
+            raise ValueError(f"negative exponent {exponent}: CycNumber has no division")
         result = _ONE
         base = self
         while exponent:

@@ -104,8 +104,8 @@ class _Window:
     places a member, and passes pairs each row of v - beta with the row
     of v.  A box row starts at a mixed-radix sum of its prefix; a
     simplex row is looked up by its prefix.  Only member, size, rows,
-    shrink, offset and passes look at which of the two it is, so the
-    algorithms never do."""
+    offset and passes look at which of the two it is, so the algorithms
+    never do."""
 
     def __init__(self, n: int, depth: int | None = None,
                  cap: tuple[int, ...] | None = None):
@@ -157,12 +157,6 @@ class _Window:
         return ((prefix, self.depth - height + 1)
                 for prefix, height in prefixes)
 
-    def shrink(self, beta) -> _Window:
-        """The window of v - beta over its members v >= beta."""
-        if self.cap is None:
-            return _Window.simplex(self.n, self.depth - sum(beta))
-        return _Window.box(self.n, (c - b for c, b in zip(self.cap, beta)))
-
     @functools.cached_property
     def _starts(self) -> dict[tuple[int, ...], int]:
         """Flat offset of each simplex row, by its prefix."""
@@ -190,12 +184,14 @@ class _Window:
     def passes(self, beta) -> list[tuple[int, int, int]]:
         """(src, dst, run) per row of the members v >= beta: the run
         entries from offset src hold v - beta for the run entries v from
-        offset dst, in the rows' order.  A box row starts at a linear
-        function of its prefix, so there dst = src + offset(beta)."""
+        offset dst, in the rows' order.  The v - beta fill the simplex
+        of depth - height(beta).  A box row starts at a linear function
+        of its prefix, so there dst = src + offset(beta)."""
         if self.cap is None:
             start, head, last = self._starts, beta[:-1], beta[-1]
+            shifted = _Window(self.n, depth=self.depth - sum(beta))
             return [(start[q], start[tuple(map(add, q, head))] + last, run)
-                    for q, run in self.shrink(beta).rows()]
+                    for q, run in shifted.rows()]
         srcs = [0]
         for c, b, stride in zip(self.cap[:-1], beta[:-1], self._strides[:-1]):
             srcs = [s + k * stride for s in srcs for k in range(c - b + 1)]

@@ -27,7 +27,6 @@ __all__ = [
     "ClassificationError",
     "mckay_quiver",
     "classify_ade",
-    "finite_cartan",
     "reference_affine",
     "reference_finite",
     "expected_ade_type",
@@ -44,7 +43,8 @@ class ClassificationError(InternalError):
 
 class CartanData(Record):
     """Affine Cartan data of a quiver with delta as its dimension vector.
-    The constructor checks: no loops, symmetry, C * delta = 0, delta
+    The constructor checks: a square adjacency, delta and the trivial
+    vertex in range of it, no loops, symmetry, C * delta = 0, delta
     positive and primitive, a one-dimensional kernel, and classification
     with the trivial vertex as the root; it derives the vertex count,
     the Cartan matrix C = 2I - A, the type and the labeling.
@@ -61,6 +61,10 @@ class CartanData(Record):
         _set(self, "delta", delta)
         _set(self, "trivial_vertex", trivial_vertex)
         r = len(adjacency)
+        if any(len(row) != r for row in adjacency):
+            raise InvariantError("quiver adjacency is not square")
+        if len(delta) != r or not 0 <= trivial_vertex < r:
+            raise InvariantError("delta or the trivial vertex does not fit the quiver")
         for i in range(r):
             if adjacency[i][i] != 0:
                 raise InvariantError(f"loop at vertex {i}: catalog quivers have none")
@@ -76,7 +80,7 @@ class CartanData(Record):
         # C = C^T and C delta = 0 give adj C = c delta delta^T; this minor is c
         if matrix_determinant(_delete_vertex(cartan, trivial_vertex)) == 0:
             raise InvariantError("kernel of the affine Cartan matrix is not a line")
-        ade_type, labeling = classify_ade(adjacency, delta, root_vertex=trivial_vertex)
+        ade_type, labeling = classify_ade(adjacency, delta, trivial_vertex)
         _set(self, "vertex_count", r)
         _set(self, "cartan", cartan)
         _set(self, "ade_type", ade_type)
@@ -180,17 +184,18 @@ def _candidate_types(count: int) -> list[str]:
 
 
 def _isomorphisms(adjacency: Matrix, delta: tuple[int, ...], ref_adj: Matrix,
-                  ref_delta: tuple[int, ...], parent: dict[int, int | None],
-                  root_targets) -> list[tuple[int, ...]]:
-    """Every delta-preserving isomorphism onto the reference diagram.
-    Partial maps grow in breadth-first order: each vertex after the root
-    goes to an unused reference neighbour of its parent's image, and
-    only maps that still agree on delta and edges are kept."""
+                  ref_delta: tuple[int, ...], parent: dict[int, int | None]
+                  ) -> list[tuple[int, ...]]:
+    """Every delta-preserving isomorphism onto the reference diagram
+    that sends the root to vertex 0.  Partial maps grow in breadth-first
+    order: each vertex after the root goes to an unused reference
+    neighbour of its parent's image, and only maps that still agree on
+    delta and edges are kept."""
     partial: list[dict[int, int]] = [{}]
     for v, p in parent.items():
         grown = []
         for image in partial:
-            targets = (root_targets if p is None else
+            targets = ((0,) if p is None else
                        [t for t, edges in enumerate(ref_adj[image[p]]) if edges])
             for t in targets:
                 if (t not in image.values() and delta[v] == ref_delta[t]
@@ -203,16 +208,16 @@ def _isomorphisms(adjacency: Matrix, delta: tuple[int, ...], ref_adj: Matrix,
 
 
 def classify_ade(adjacency: Matrix, delta: tuple[int, ...],
-                 root_vertex: int | None = None) -> tuple[str, tuple[int, ...]]:
+                 root_vertex: int) -> tuple[str, tuple[int, ...]]:
     """Identify the graph with a reference affine ADE diagram.
 
     Returns the type tag and an explicit vertex bijection onto the
     reference labeling: labeling[v] is the reference vertex of v, delta
-    labels and edge multiplicities are preserved, and root_vertex, when
-    given, is sent to vertex 0.  Of all such bijections the
-    lexicographically smallest tuple is returned, so the labeling does
-    not depend on how the search runs.  Raises ClassificationError if
-    the graph matches no reference.
+    labels and edge multiplicities are preserved, and root_vertex is
+    sent to vertex 0.  Of all such bijections the lexicographically
+    smallest tuple is returned, so the labeling does not depend on how
+    the search runs.  Raises ClassificationError if the graph matches no
+    reference.
     """
     adjacency = tuple(tuple(row) for row in adjacency)
     n = len(adjacency)
@@ -223,8 +228,10 @@ def classify_ade(adjacency: Matrix, delta: tuple[int, ...],
     delta = tuple(delta)
     if n < 2 or len(delta) != n:
         raise ClassificationError("not an affine ADE diagram")
+    if not 0 <= root_vertex < n:
+        raise ClassificationError(f"root vertex {root_vertex} is not a vertex")
     # each vertex reached from the root, mapped to its breadth-first parent
-    parent: dict[int, int | None] = {0 if root_vertex is None else root_vertex: None}
+    parent: dict[int, int | None] = {root_vertex: None}
     queue = list(parent)
     for v in queue:  # the loop also visits what it appends
         for u, edges in enumerate(adjacency[v]):
@@ -233,11 +240,9 @@ def classify_ade(adjacency: Matrix, delta: tuple[int, ...],
                 queue.append(u)
     if len(parent) != n:
         raise ClassificationError("not an affine ADE diagram: graph is disconnected")
-    root_targets = range(n) if root_vertex is None else (0,)
     for ade_type in _candidate_types(n):
         ref_adj, ref_delta = reference_affine(ade_type)
-        labelings = _isomorphisms(adjacency, delta, ref_adj, ref_delta,
-                                  parent, root_targets)
+        labelings = _isomorphisms(adjacency, delta, ref_adj, ref_delta, parent)
         if labelings:
             return ade_type, min(labelings)
     raise ClassificationError("not an affine ADE diagram")
@@ -278,16 +283,6 @@ def mckay_quiver(table: CharacterTable) -> CartanData:
     """Adjacency a_ij = multiplicity of character j in (defining * i),
     as the table's constructor proved it."""
     return CartanData(table.mckay_adjacency, table.degrees, table.trivial_index)
-
-
-def finite_cartan(cd: CartanData) -> Matrix:
-    """Delete the trivial vertex; verified positive definite."""
-    matrix = _delete_vertex(cd.cartan, cd.trivial_vertex)
-    for k in range(1, len(matrix) + 1):
-        minor = tuple(row[:k] for row in matrix[:k])
-        if matrix_determinant(minor) <= 0:
-            raise InvariantError("finite Cartan matrix is not positive definite")
-    return matrix
 
 
 def to_dot(cd: CartanData) -> str:

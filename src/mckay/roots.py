@@ -1,4 +1,4 @@
-"""Finite root systems, affine weights, and the fixed-point dichotomy.
+"""Finite root systems and the fixed-point dichotomy.
 
 Positive roots are generated two independent ways (root-string closure
 from the simple roots, and the reflection orbit of the simple roots)
@@ -29,13 +29,10 @@ from .record import Record, _set
 __all__ = [
     "RootSystem",
     "MVStatus",
-    "AffineWeight",
     "positive_roots",
     "root_system_for",
     "m_v_status",
     "reconstruct_g_dim",
-    "dominance_leq",
-    "weyl_reflect",
     "restrict_to_finite",
     "unrestrict",
 ]
@@ -52,13 +49,16 @@ class MVStatus(enum.Enum):
 class RootSystem(Record):
     """The positive roots of a finite Cartan matrix, in the simple-root
     basis, ordered by (height, vector): the highest root comes last.
-    The constructor generates them two ways, by root-string closure and
-    by the reflection orbit of the simple roots, and requires the two
-    sets to agree and the highest root to be unique."""
+    The constructor requires a nonempty square matrix, generates the
+    roots two ways, by root-string closure and by the reflection orbit
+    of the simple roots, and requires the two sets to agree and the
+    highest root to be unique."""
 
     __slots__ = ("cartan", "positive", "__dict__")  # __dict__ holds _positive_set
 
     def __init__(self, cartan: Matrix):
+        if not cartan or any(len(row) != len(cartan) for row in cartan):
+            raise InvariantError("the Cartan matrix is not a nonempty square matrix")
         _set(self, "cartan", cartan)
         by_strings = _roots_by_string_closure(cartan)
         if by_strings != _roots_by_reflection_orbit(cartan):
@@ -68,10 +68,6 @@ class RootSystem(Record):
         if heights.count(heights[-1]) != 1:
             raise InvariantError("highest root is not unique")
         _set(self, "positive", tuple(ordered))
-
-    @property
-    def rank(self) -> int:
-        return len(self.cartan)
 
     @property
     def count(self) -> int:
@@ -220,37 +216,3 @@ def reconstruct_g_dim(cd: CartanData) -> int:
             if v != cd.delta and m_v_status(v, cd) is MVStatus.SINGLE_POINT:
                 count += 1
     return count + cd.rank
-
-
-class AffineWeight(Record):
-    """sum_i framing_i Lambda_i - sum_i drop_i alpha_i."""
-
-    __slots__ = ("framing", "drop")
-
-    def __init__(self, framing: tuple[int, ...], drop: tuple[int, ...]):
-        if len(framing) != len(drop):
-            raise ValueError("framing and drop must have the same length")
-        _set(self, "framing", framing)
-        _set(self, "drop", drop)
-
-    def pairing(self, i: int, cd: CartanData) -> int:
-        """<weight, alpha_i^vee> = w_i - (C v)_i."""
-        return self.framing[i] - _pairing(cd.cartan, self.drop, i)
-
-
-def dominance_leq(mu: AffineWeight, nu: AffineWeight) -> bool:
-    """mu <= nu in dominance order: nu - mu is a nonnegative integer
-    combination of simple roots."""
-    if mu.framing != nu.framing:
-        raise ValueError("dominance order requires matching framings")
-    return all(a >= b for a, b in zip(mu.drop, nu.drop))
-
-
-def weyl_reflect(mu: AffineWeight, i: int, cd: CartanData) -> AffineWeight:
-    """Simple reflection s_i(mu) = mu - <mu, alpha_i^vee> alpha_i."""
-    if not 0 <= i < cd.vertex_count:
-        raise ValueError(f"vertex {i} out of range")
-    pairing = mu.pairing(i, cd)
-    drop = list(mu.drop)
-    drop[i] += pairing
-    return AffineWeight(framing=mu.framing, drop=tuple(drop))

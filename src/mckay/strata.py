@@ -27,7 +27,6 @@ from .record import Record, _set
 __all__ = [
     "StratumLabel",
     "FiberLabel",
-    "fixed_sym_product",
     "partitions",
     "enumerate_strata_rank1",
     "cartan_apply",
@@ -86,16 +85,6 @@ class FiberLabel(Record):
             "punctual_parts": list(self.punctual_parts),
             "empty": self.empty,
         }
-
-
-def fixed_sym_product(n: int, gamma_order: int) -> int:
-    """Largest m with m * gamma_order <= n: the symmetric-product power
-    of the quotient surface fixed by the group."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if gamma_order < 2:
-        raise ValueError("the catalog starts at groups of order 2")
-    return n // gamma_order
 
 
 def partitions(m: int) -> list[tuple[int, ...]]:

@@ -31,7 +31,7 @@ def test_cyclic_2_table_explicit():
 def test_degree_multisets(text, degrees):
     _, table, _ = pipeline(text)
     assert sorted(table.degrees) == degrees
-    assert sum(d * d for d in table.degrees) == table.group_order
+    assert sum(d * d for d in table.degrees) == table.group.order
 
 
 @pytest.mark.parametrize("text", ALL_SPECS)
@@ -53,7 +53,7 @@ def test_column_orthogonality_exact(text):
             acc = CycNumber.coerce(0)
             for i in range(r):
                 acc = acc + table.values[i][c1] * table.values[i][c2].conj()
-            expected = Fraction(table.group_order, table.class_sizes[c1]) \
+            expected = Fraction(table.group.order, table.class_sizes[c1]) \
                 if c1 == c2 else 0
             assert acc == expected
 

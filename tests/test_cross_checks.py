@@ -26,7 +26,7 @@ def frobenius_schur(group, chi) -> Fraction:
         squared_class = group.class_of[group.mult_table[rep][rep]]
         total = total + len(members) * chi[squared_class]
     value = total * Fraction(1, group.order)
-    assert value.is_rational()
+    assert value.conductor == 1
     return value.rational_value()
 
 

@@ -4,7 +4,8 @@ from mckay.cyclotomic import CycNumber, root_of_unity
 from mckay.highest_weight import (MultiplicityTable, _Window,
                                   drinfeld_polynomials, freudenthal,
                                   freudenthal_box, weylkac_box, weylkac_oracle)
-from mckay.roots import AffineWeight, MVStatus, m_v_status
+from mckay.roots import MVStatus, m_v_status
+from mckay.strata import cartan_apply
 
 from conftest import lambda_0, pipeline
 
@@ -167,11 +168,11 @@ def test_weyl_invariance_within_the_window():
     table = freudenthal(w, cd, depth)
     n = cd.vertex_count
     for v in list(table.entries):
-        mu = AffineWeight(framing=w, drop=v)
+        # s_i moves the drop v by <w - C v, alpha_i^vee> alpha_i
+        pairing = [a - b for a, b in zip(w, cartan_apply(cd, v))]
         for i in range(n):
-            pairing = mu.pairing(i, cd)
             moved = list(v)
-            moved[i] += pairing
+            moved[i] += pairing[i]
             image = tuple(moved)
             if min(image) >= 0 and sum(image) <= depth:
                 assert table.multiplicity(image) == table.multiplicity(v)
@@ -201,15 +202,6 @@ def test_basic_multiplicities_match_the_component_dichotomy():
             m = table.multiplicity(v)
             assert (m == 1) == (status is MVStatus.SINGLE_POINT)
             assert (m >= 1) == (status is not MVStatus.EMPTY)
-
-
-def test_weight_of_lagrangian():
-    w = (1, 0, 2)
-    assert AffineWeight(framing=w, drop=(0, 0, 0)) == AffineWeight(w, (0, 0, 0))
-    mu = AffineWeight(framing=w, drop=(1, 2, 0))
-    nu = AffineWeight(framing=w, drop=(0, 1, 3))
-    combined = AffineWeight(framing=w, drop=(1, 3, 3))
-    assert combined.drop == tuple(a + b for a, b in zip(mu.drop, nu.drop))
 
 
 def test_drinfeld_polynomials():

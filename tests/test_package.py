@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,23 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_floats():
                                             "PYTHONPATH": str(package_root)}, cwd="/")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_every_function_the_benchmark_traces_can_be_wrapped(monkeypatch):
+    # bench/run.py wraps the library's functions by module and name; a
+    # deleted or renamed one must fail here, not only in the benchmark
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends to it
+    path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    modules = run.load_mckay()
+    before = {name: dict(vars(module)) for name, module in modules.items()}
+    tracer = run.h.Tracer(run.trace_targets(modules))
+    try:
+        tracer.install(modules)
+        assert modules["quiver"].classify_ade is not before["quiver"]["classify_ade"]
+    finally:
+        tracer.uninstall()
+    for name, module in modules.items():
+        assert all(vars(module)[k] is v for k, v in before[name].items())

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from mckay.errors import InvariantError
-from mckay.quiver import (CartanData, ClassificationError, classify_ade,
-                          expected_ade_type, finite_cartan, matrix_determinant,
-                          reference_affine, reference_finite, to_dot)
+from mckay.quiver import (CartanData, ClassificationError, _delete_vertex,
+                          classify_ade, expected_ade_type, matrix_determinant,
+                          reference_affine, to_dot)
 from mckay.groups import GroupSpec
 
 from conftest import pipeline
@@ -56,7 +56,7 @@ def test_cartan_kernel_and_delta(text):
     for i in range(n):
         assert sum(cd.cartan[i][j] * cd.delta[j] for j in range(n)) == 0
     assert cd.delta[cd.trivial_vertex] == 1
-    assert sum(d * d for d in cd.delta) == table.group_order
+    assert sum(d * d for d in cd.delta) == table.group.order
     assert all(cd.adjacency[i][i] == 0 for i in range(n))
     assert all(cd.adjacency[i][j] == cd.adjacency[j][i]
                for i in range(n) for j in range(n))
@@ -84,7 +84,7 @@ def test_standard_labeling_is_a_delta_preserving_isomorphism():
 def test_classify_branch_graph_as_d4():
     adj = ((0, 0, 1, 0, 0), (0, 0, 1, 0, 0), (1, 1, 0, 1, 1),
            (0, 0, 1, 0, 0), (0, 0, 1, 0, 0))
-    ade, _ = classify_ade(adj, (1, 1, 2, 1, 1))
+    ade, _ = classify_ade(adj, (1, 1, 2, 1, 1), 0)
     assert ade == "D~4"
 
 
@@ -99,10 +99,12 @@ def test_classify_rejects_non_ade_graphs():
     complete = tuple(tuple(0 if i == j else 1 for j in range(4))
                      for i in range(4))
     with pytest.raises(ClassificationError):
-        classify_ade(complete, (1, 1, 1, 1))
+        classify_ade(complete, (1, 1, 1, 1), 0)
     disconnected = ((0, 2, 0, 0), (2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0))
     with pytest.raises(ClassificationError):
-        classify_ade(disconnected, (1, 1, 1, 1))
+        classify_ade(disconnected, (1, 1, 1, 1), 0)
+    with pytest.raises(ClassificationError, match="root vertex 4 is not a vertex"):
+        classify_ade(((0, 2), (2, 0)), (1, 1), 4)
 
 
 def _relabelled(ade_type, rng):
@@ -153,9 +155,9 @@ def test_classify_returns_the_least_isomorphism(ade_type):
     rng = random.Random(ade_type)
     for _ in range(3):
         adj, delta, _ = _relabelled(ade_type, rng)
-        for root in (None, rng.randrange(n)):
+        for root in rng.sample(range(n), 2):
             least = min((p for p in itertools.permutations(range(n))
-                         if (root is None or p[root] == 0)
+                         if p[root] == 0
                          and all(delta[i] == ref_delta[p[i]] for i in range(n))
                          and all(adj[i][j] == ref_adj[p[i]][p[j]]
                                  for i in range(n) for j in range(n))),
@@ -168,22 +170,6 @@ def test_classify_returns_the_least_isomorphism(ade_type):
                     (ade_type, least)
 
 
-def _permutation_equal(a, b):
-    n = len(a)
-    for perm in itertools.permutations(range(n)):
-        if all(a[i][j] == b[perm[i]][perm[j]] for i in range(n)
-               for j in range(n)):
-            return True
-    return False
-
-
-def test_finite_cartan_examples():
-    _, _, cd2 = pipeline("cyclic:2")
-    assert finite_cartan(cd2) == ((2,),)
-    _, _, cd4 = pipeline("cyclic:4")
-    assert _permutation_equal(finite_cartan(cd4), reference_finite("A~3"))
-
-
 @pytest.mark.parametrize("text,det", [
     ("cyclic:2", 2), ("cyclic:5", 5), ("cyclic:8", 8),
     ("binary-dihedral:2", 4), ("binary-dihedral:6", 4),
@@ -192,7 +178,7 @@ def test_finite_cartan_examples():
 ])
 def test_finite_cartan_determinants_match_classical_indices(text, det):
     _, _, cd = pipeline(text)
-    assert matrix_determinant(finite_cartan(cd)) == det
+    assert matrix_determinant(_delete_vertex(cd.cartan, cd.trivial_vertex)) == det
 
 
 @pytest.mark.parametrize("matrix,det", [
@@ -205,23 +191,6 @@ def test_finite_cartan_determinants_match_classical_indices(text, det):
 def test_matrix_determinant(matrix, det):
     assert matrix_determinant(matrix) == det
     assert type(matrix_determinant(matrix)) is int
-
-
-def test_finite_cartan_rejects_a_finite_part_that_is_not_positive_definite():
-    # deleting vertex 0 leaves the affine A~1 matrix, whose determinant is 0
-    adjacency = ((0, 0, 0), (0, 0, 2), (0, 2, 0))
-    # the constructor refuses this datum, so it is assembled field by
-    # field to reach finite_cartan's own check
-    with pytest.raises(InvariantError, match=r"C \* delta != 0"):
-        CartanData(adjacency, (1, 1, 1), 0)
-    cd = object.__new__(CartanData)
-    for name, value in (("adjacency", adjacency), ("delta", (1, 1, 1)),
-                        ("trivial_vertex", 0), ("vertex_count", 3),
-                        ("cartan", ((2, 0, 0), (0, 2, -2), (0, -2, 2))),
-                        ("ade_type", "A~2"), ("standard_labeling", (0, 1, 2))):
-        object.__setattr__(cd, name, value)
-    with pytest.raises(InvariantError, match="not positive definite"):
-        finite_cartan(cd)
 
 
 def test_dot_output_shape():
@@ -250,3 +219,23 @@ def test_cartan_data_from_json_rejects_data_that_do_not_verify(key, value):
     obj[key] = value
     with pytest.raises(InvariantError):
         CartanData.from_json_obj(obj)
+
+
+def test_stored_cartan_data_with_a_short_delta_is_refused():
+    # this used to raise IndexError from the C * delta sum
+    _, _, cd = pipeline("binary-tetrahedral")
+    obj = cd.to_json_obj()
+    obj["delta"] = [1]
+    with pytest.raises(InvariantError, match="delta or the trivial vertex"):
+        CartanData.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("adjacency,delta,trivial,message", [
+    (((0, 2), (2, 0), (1, 1)), (1, 1, 1), 0, "adjacency is not square"),
+    (((0, 2), (2, 0)), (1, 1), 2, "delta or the trivial vertex"),
+], ids=["short-rows", "trivial-vertex"])
+def test_cartan_data_checks_the_shape_before_indexing(adjacency, delta, trivial,
+                                                      message):
+    # each of these used to raise IndexError
+    with pytest.raises(InvariantError, match=message):
+        CartanData(adjacency, delta, trivial)

@@ -11,7 +11,7 @@ from mckay.errors import InvariantError
 from mckay.groups import CLASS_BUDGET, FiniteSubgroup, GroupSpec
 from mckay.highest_weight import DrinfeldData, MultiplicityTable, drinfeld_polynomials
 from mckay.quiver import CartanData
-from mckay.roots import AffineWeight, RootSystem, root_system_for
+from mckay.roots import RootSystem, root_system_for
 from mckay.strata import FiberLabel, StratumLabel
 
 from conftest import pipeline
@@ -39,7 +39,6 @@ def _cases():
          ("adjacency", "delta", "trivial_vertex", "vertex_count", "cartan", "ade_type",
           "standard_labeling")),
         (RootSystem, {"cartan": system.cartan}, ("cartan", "positive")),
-        (AffineWeight, {"framing": (1, 0, 2), "drop": (0, 1, 1)}, None),
         (MultiplicityTable, {"framing": (1, 0), "depth": 2, "cap": None,
                              "entries": {(0, 0): 1, (1, 0): 1}}, None),
         (DrinfeldData, {"eigenvalues": drinfeld.eigenvalues},
@@ -109,7 +108,7 @@ def test_fields_cannot_be_set_or_deleted(case):
 def test_public_class_surface(case):
     cls = case[0]
     assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "(")
-    if cls not in (GroupSpec, AffineWeight):
+    if cls is not GroupSpec:
         assert "to_json_obj" in cls.__dict__
     if cls in (FiniteSubgroup, CharacterTable, CartanData):
         assert isinstance(cls.__dict__["from_json_obj"], staticmethod)
@@ -118,7 +117,6 @@ def test_public_class_surface(case):
 def test_a_different_field_makes_objects_unequal():
     assert GroupSpec("cyclic", 5) != GroupSpec("cyclic", 6)
     assert StratumLabel((0,), (1,), 0) != StratumLabel((1,), (1,), 0)
-    assert AffineWeight((1, 0), (0, 0)) != AffineWeight((1, 0), (0, 1))
     assert (MultiplicityTable((1,), 2, None, {(0,): 1})
             != MultiplicityTable((1,), 2, None, {(0,): 2}))
 
@@ -141,8 +139,6 @@ def test_positive_set_is_a_cached_property():
 
 
 def test_validation_errors_still_raise():
-    with pytest.raises(ValueError, match="same length"):
-        AffineWeight((1, 0), (0,))
     with pytest.raises(ValueError, match="nonnegative"):
         StratumLabel((-1,), (1,), 0)
     with pytest.raises(ValueError, match="positive"):

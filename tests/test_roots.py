@@ -1,8 +1,8 @@
 import pytest
 
-from mckay.roots import (AffineWeight, MVStatus, dominance_leq, m_v_status,
-                         positive_roots, reconstruct_g_dim, restrict_to_finite,
-                         root_system_for, weyl_reflect)
+from mckay.errors import InvariantError
+from mckay.roots import (MVStatus, RootSystem, m_v_status, positive_roots,
+                         reconstruct_g_dim, restrict_to_finite, root_system_for)
 from mckay.quiver import reference_finite
 
 from conftest import pipeline
@@ -97,41 +97,9 @@ def test_reconstructed_lie_algebra_dimension(text, dim):
     assert dim == 2 * system.count + cd.rank
 
 
-def test_dominance_order():
-    _, _, cd = pipeline("cyclic:3")
-    w = (1, 0, 0)
-    top = AffineWeight(framing=w, drop=(0, 0, 0))
-    below = AffineWeight(framing=w, drop=(1, 0, 0))
-    assert dominance_leq(top, top)
-    assert dominance_leq(below, top)
-    assert not dominance_leq(top, below)
-    a = AffineWeight(framing=w, drop=(1, 0, 0))
-    b = AffineWeight(framing=w, drop=(0, 1, 0))
-    assert not dominance_leq(a, b) and not dominance_leq(b, a)
-    with pytest.raises(ValueError):
-        dominance_leq(top, AffineWeight(framing=(0, 1, 0), drop=(0, 0, 0)))
-
-
-def test_weyl_reflection_on_fundamental_weights():
-    _, _, cd = pipeline("binary-dihedral:2")
-    n = cd.vertex_count
-    for i in range(n):
-        basis = AffineWeight(framing=tuple(1 if k == i else 0 for k in range(n)),
-                             drop=(0,) * n)
-        reflected = weyl_reflect(basis, i, cd)
-        assert reflected.drop == tuple(1 if k == i else 0 for k in range(n))
-        for j in range(n):
-            if j != i:
-                assert weyl_reflect(basis, j, cd) == basis
-
-
-def test_weyl_reflection_is_an_involution():
-    import random
-    rng = random.Random(7)
-    _, _, cd = pipeline("binary-tetrahedral")
-    n = cd.vertex_count
-    for _ in range(50):
-        mu = AffineWeight(framing=tuple(rng.randrange(3) for _ in range(n)),
-                          drop=tuple(rng.randrange(-4, 5) for _ in range(n)))
-        i = rng.randrange(n)
-        assert weyl_reflect(weyl_reflect(mu, i, cd), i, cd) == mu
+@pytest.mark.parametrize("cartan", [((2,), (-1,)), ((2, -1), (-1,)), ()],
+                         ids=["column", "ragged", "empty"])
+def test_a_matrix_that_is_not_square_is_refused(cartan):
+    # ((2,), (-1,)) used to raise IndexError from the root-string closure
+    with pytest.raises(InvariantError, match="not a nonempty square matrix"):
+        RootSystem(cartan)

@@ -6,20 +6,9 @@ import pytest
 
 from mckay.strata import (FiberLabel, StratumLabel, cartan_apply,
                           enumerate_strata, enumerate_strata_rank1,
-                          fiber_parts, fixed_sym_product, partitions,
-                          transported_framing)
+                          fiber_parts, partitions, transported_framing)
 
 from conftest import pipeline
-
-
-def test_fixed_sym_product():
-    assert fixed_sym_product(5, 2) == 2
-    assert fixed_sym_product(0, 7) == 0
-    assert fixed_sym_product(120, 120) == 1
-    with pytest.raises(ValueError):
-        fixed_sym_product(-1, 2)
-    with pytest.raises(ValueError):
-        fixed_sym_product(4, 1)
 
 
 def test_partitions_reverse_lexicographic():
