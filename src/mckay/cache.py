@@ -37,8 +37,8 @@ def load(key: str) -> dict | None:
     try:
         with open(path, encoding="utf-8") as handle:
             entry = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
+    except (OSError, ValueError, RecursionError):
+        return None  # unreadable, not UTF-8, not JSON, too deep or too long a number
     if (not isinstance(entry, dict) or entry.get("format_version") != FORMAT_VERSION
             or entry.get("key") != key):
         return None

@@ -1,21 +1,19 @@
 """Catalog and exact enumeration of the finite subgroups of SL2(C).
 
-Each catalog group is built by closing a small set of generator matrices
-(entries are exact cyclotomic numbers) under multiplication.  The
-closure itself validates the generators: a wrong sign or conductor gives
-the wrong group order and construction fails loudly.
+Each catalog group is built by closing a few generators under
+multiplication.  Every element is an SU(2) matrix [[a, b], [-conj b,
+conj a]] of exact cyclotomic numbers, given by its first row (a, b).
+A wrong generator gives the wrong group order, and construction fails.
 
-Generator conventions (all checked by closure order):
-  cyclic n:            diag(zeta_n, zeta_n^-1)
-  binary dihedral m:   diag(zeta_2m, zeta_2m^-1)  and  [[0,1],[-1,0]]
-  binary tetrahedral:  quaternion units i, j and
-                       omega = 1/2 [[-1+i, -1+i], [1+i, -1-i]]
-                       (omega^3 = 1; entries in Q(zeta_4))
-  binary octahedral:   the above plus diag(zeta_8, zeta_8^-1),
-                       which equals (1/sqrt2) diag(1+i, 1-i)
+Generator first rows (all checked by closure order):
+  cyclic n:            (zeta_n, 0)
+  binary dihedral m:   (zeta_2m, 0)  and  (0, 1)
+  binary tetrahedral:  the quaternion units i = (i, 0), j = (0, 1) and
+                       omega = ((-1+i)/2, (-1+i)/2), omega^3 = 1
+  binary octahedral:   the above plus (zeta_8, 0) = ((1+i)/sqrt2, 0)
   binary icosahedral:  omega and the unit quaternion
-                       (tau + tau^-1 i + j)/2,  tau = (1+sqrt5)/2,
-                       written over Q(zeta_20)
+                       (tau + tau^-1 i + j)/2 = ((tau + (tau-1) i)/2, 1/2),
+                       tau = (1+sqrt5)/2, written over Q(zeta_20)
 """
 
 from __future__ import annotations
@@ -127,19 +125,28 @@ class GroupSpec(Record):
 
 
 class GroupElement:
-    """A 2x2 matrix over a cyclotomic field with determinant exactly 1."""
+    """A matrix [[a, b], [-conj b, conj a]] of SU(2) over a cyclotomic
+    field, given by its first row (a, b) with a conj a + b conj b = 1
+    exactly; the second row is derived once, when first read."""
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("row", "_entries", "_hash")
 
-    def __init__(self, a, b, c, d):
-        entries = tuple(CycNumber.coerce(x) for x in (a, b, c, d))
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", hash(entries))
+    def __init__(self, a, b):
+        _set_row(self, (CycNumber.coerce(a), CycNumber.coerce(b)))
         if self.det() != 1:
-            raise ValueError(f"matrix {entries} is not in SL2: det = {self.det()}")
+            raise ValueError(f"{self.row} is not a unit first row: norm {self.det()}")
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
+
+    @property
+    def entries(self) -> tuple[CycNumber, ...]:
+        entries = self._entries
+        if entries is None:
+            a, b = self.row
+            entries = (a, b, -b.conj(), a.conj())
+            object.__setattr__(self, "_entries", entries)
+        return entries
 
     def det(self) -> CycNumber:
         a, b, c, d = self.entries
@@ -150,28 +157,24 @@ class GroupElement:
         return a + d
 
     def __mul__(self, other: GroupElement) -> GroupElement:
-        a, b, c, d = self.entries
+        a, b = self.row
         e, f, g, h = other.entries
-        out = object.__new__(GroupElement)
-        entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        object.__setattr__(out, "entries", entries)
-        object.__setattr__(out, "_hash", hash(entries))
-        return out
+        return _set_row(object.__new__(GroupElement), (a * e + b * g, a * f + b * h))
 
     def inverse(self) -> GroupElement:
-        a, b, c, d = self.entries
-        return GroupElement(d, -b, -c, a)
+        a, b = self.row
+        return GroupElement(a.conj(), -b)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.entries == other.entries
+        return self.row == other.row
 
     def __hash__(self) -> int:
         return self._hash
 
     def sort_key(self) -> tuple:
-        return tuple(e.sort_key() for e in self.entries)
+        return tuple(e.sort_key() for e in self.row)
 
     def to_json_obj(self) -> list:
         return [e.to_json_obj() for e in self.entries]
@@ -181,38 +184,34 @@ class GroupElement:
         return f"GroupElement([[{a}, {b}], [{c}, {d}]])"
 
 
-IDENTITY = GroupElement(1, 0, 0, 1)
+def _set_row(element: GroupElement, row: tuple[CycNumber, CycNumber]) -> GroupElement:
+    object.__setattr__(element, "row", row)
+    object.__setattr__(element, "_entries", None)
+    object.__setattr__(element, "_hash", hash(row))
+    return element
 
 
-def _quaternion(a, b, c, d) -> GroupElement:
-    """a + bi + cj + dk as [[a+bi, c+di], [-c+di, a-bi]]."""
-    i = root_of_unity(4)
-    a, b, c, d = (CycNumber.coerce(x) for x in (a, b, c, d))
-    return GroupElement(a + b * i, c + d * i, -c + d * i, a - b * i)
+IDENTITY = GroupElement(1, 0)
 
 
 def _generators(spec: GroupSpec) -> list[GroupElement]:
     half = Fraction(1, 2)
     if spec.family == "cyclic":
-        n = spec.parameter
-        return [GroupElement(root_of_unity(n, 1), 0, 0, root_of_unity(n, n - 1))]
+        return [GroupElement(root_of_unity(spec.parameter), 0)]
     if spec.family == "binary-dihedral":
-        n = 2 * spec.parameter
-        return [GroupElement(root_of_unity(n, 1), 0, 0, root_of_unity(n, n - 1)),
-                GroupElement(0, 1, -1, 0)]
+        return [GroupElement(root_of_unity(2 * spec.parameter), 0), GroupElement(0, 1)]
     i = root_of_unity(4)
-    omega = GroupElement((-1 + i) * half, (-1 + i) * half,
-                         (1 + i) * half, (-1 - i) * half)
+    omega = GroupElement((-1 + i) * half, (-1 + i) * half)
     if spec.family == "binary-tetrahedral":
-        return [_quaternion(0, 1, 0, 0), _quaternion(0, 0, 1, 0), omega]
+        return [GroupElement(i, 0), GroupElement(0, 1), omega]
     if spec.family == "binary-octahedral":
-        return [_quaternion(0, 1, 0, 0), _quaternion(0, 0, 1, 0), omega,
-                GroupElement(root_of_unity(8, 1), 0, 0, root_of_unity(8, 7))]
+        return [GroupElement(i, 0), GroupElement(0, 1), omega,
+                GroupElement(root_of_unity(8), 0)]
     # binary icosahedral; tau = (1 + sqrt5)/2, tau^-1 = tau - 1
     z5 = root_of_unity(5)
     sqrt5 = z5 - z5 ** 2 - z5 ** 3 + z5 ** 4
     tau = (1 + sqrt5) * half
-    return [omega, _quaternion(tau * half, (tau - 1) * half, half, 0)]
+    return [omega, GroupElement((tau + (tau - 1) * i) * half, half)]
 
 
 class FiniteSubgroup(Record):
@@ -310,7 +309,7 @@ class FiniteSubgroup(Record):
         seen = {}
         group = FiniteSubgroup(
             GroupSpec.parse(obj["spec"]),
-            tuple(GroupElement(*(read_value(x, n, seen) for x in e))
+            tuple(GroupElement(*(read_value(x, n, seen) for x in e[:2]))
                   for e in obj["elements"]),
             tuple(tuple(int(x) for x in row) for row in obj["mult_table"]))
         if json.dumps(group.to_json_obj()) != json.dumps(obj):

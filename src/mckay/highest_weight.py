@@ -76,12 +76,6 @@ class MultiplicityTable(Record):
     def sorted_items(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.entries.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
-    def to_json_obj(self) -> dict:
-        return {"framing": list(self.framing),
-                "depth": self.depth,
-                "cap": None if self.cap is None else list(self.cap),
-                "entries": [[list(v), m] for v, m in self.sorted_items()]}
-
 
 WINDOW_BUDGET = 1_000_000  # most drop vectors one window may hold
 

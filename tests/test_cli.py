@@ -310,6 +310,16 @@ def test_corrupt_cache_entries_are_recomputed(capsys):
     path.write_text("[1]")
     code, out4, _ = invoke(capsys, "dimg", "cyclic:3")
     assert code == 0 and out4 == out1
+    # too deep for the parser, not UTF-8, and an integer past Python's
+    # digit limit
+    for damaged in (("[" * 200000 + "]" * 200000).encode(),
+                    b"\xff\xfe" + json.dumps({"key": "cyclic:3"}).encode(),
+                    json.dumps({"format_version": cache.FORMAT_VERSION, "key": "cyclic:3",
+                                "payload": {"group": "x"}}).replace(
+                                    '"x"', "1" * 5000).encode()):
+        path.write_bytes(damaged)
+        code, out, err = invoke(capsys, "dimg", "cyclic:3")
+        assert code == 0 and out == out1 and err == ""
 
 
 def _fresh_payload(spec):
@@ -420,11 +430,26 @@ def _true_for_one_in_group(payload):
                            for row in group["mult_table"]]
 
 
+def _upper_right_set_to_upper_left(payload):
+    """Every non-identity first row (a, b) becomes (a, a), no unit vector."""
+    for element in payload["group"]["elements"][1:]:
+        element[1] = element[0]
+
+
+def _lower_left_set_to_one(payload):
+    """On cyclic:5 each non-identity element is diag(z, conj z); a lower-left
+    entry of 1 keeps its determinant 1 but is not -conj b = 0."""
+    for element in payload["group"]["elements"][1:]:
+        element[2] = {"N": 1, "terms": [[0, "1"]]}
+
+
 @pytest.mark.parametrize("command,spec,damage", [
     ("chartab", "cyclic:3", _swapped_columns_1_and_2),
     ("chartab", "cyclic:5", _swapped_columns_1_and_2),
     ("group", "cyclic:4", _swapped_entries_in_mult_table_row_1),
     ("group", "cyclic:4", _true_for_one_in_group),
+    ("group", "cyclic:5", _upper_right_set_to_upper_left),
+    ("group", "cyclic:5", _lower_left_set_to_one),
 ])
 def test_cache_entries_that_disagree_with_their_group_are_recomputed(
         capsys, command, spec, damage):

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from mckay.cyclotomic import root_of_unity
 from mckay.groups import (CLASS_BUDGET, GroupConstructionError, GroupElement,
                           GroupSpec, build_group, defining_character,
                           _close_under_multiplication)
@@ -30,8 +33,8 @@ def test_spec_parsing_and_orders():
 def test_cyclic_2_is_plus_minus_identity():
     g, _, _ = pipeline("cyclic:2")
     assert g.order == 2
-    assert g.elements[0] == GroupElement(1, 0, 0, 1)
-    assert g.elements[1] == GroupElement(-1, 0, 0, -1)
+    assert g.elements[0] == GroupElement(1, 0)
+    assert g.elements[1] == GroupElement(-1, 0)
 
 
 @pytest.mark.parametrize("text,order", [
@@ -49,18 +52,24 @@ def test_closure_orders(text, order):
 
 @pytest.mark.parametrize("text", ["cyclic:3", "binary-dihedral:2"])
 def test_mult_table_against_direct_matrix_products(text):
-    # independent oracle: recompute every product with matrix arithmetic
+    # independent oracle: recompute every product as a plain 2x2 matrix
+    # product of the four entries
     g, _, _ = pipeline(text)
-    index = {e: i for i, e in enumerate(g.elements)}
-    for i, a in enumerate(g.elements):
-        for j, b in enumerate(g.elements):
-            assert g.mult_table[i][j] == index[a * b]
+    index = {e.entries: i for i, e in enumerate(g.elements)}
+    for i, x in enumerate(g.elements):
+        a, b, c, d = x.entries
+        for j, y in enumerate(g.elements):
+            e, f, h, k = y.entries
+            product = (a * e + b * h, a * f + b * k, c * e + d * h, c * f + d * k)
+            assert g.mult_table[i][j] == index[product]
 
 
 def test_every_element_is_in_sl2():
     for text in ["binary-dihedral:3", "binary-octahedral", "binary-icosahedral"]:
         g, _, _ = pipeline(text)
         assert all(e.det() == 1 for e in g.elements)
+    with pytest.raises(ValueError, match="not a unit first row"):
+        GroupElement(1, 1)
 
 
 @pytest.mark.parametrize("text,count", [
@@ -144,9 +153,10 @@ def test_inverse_map():
 
 
 def test_closure_bound_catches_infinite_groups():
-    shear = GroupElement(1, 1, 0, 1)
+    # in SU(2), of infinite order: (3 + 4i)/5 is no root of unity
+    rotation = GroupElement((3 + 4 * root_of_unity(4)) * Fraction(1, 5), 0)
     with pytest.raises(GroupConstructionError):
-        _close_under_multiplication([shear], 100)
+        _close_under_multiplication([rotation], 100)
 
 
 def test_group_json_round_trip():

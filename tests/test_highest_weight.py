@@ -139,17 +139,6 @@ def test_malformed_caps_are_rejected(cap):
             algorithm((1, 0, 0), cd, cap)
 
 
-def test_table_json_records_its_window():
-    _, _, cd = pipeline("cyclic:3")
-    assert freudenthal_box((1, 0, 0), cd, (1, 1, 0)).to_json_obj() == {
-        "framing": [1, 0, 0], "depth": None, "cap": [1, 1, 0],
-        "entries": [[[0, 0, 0], 1], [[1, 0, 0], 1], [[1, 1, 0], 1]]}
-    assert weylkac_oracle((1, 0, 0), cd, 2).to_json_obj() == {
-        "framing": [1, 0, 0], "depth": 2, "cap": None,
-        "entries": [[[0, 0, 0], 1], [[1, 0, 0], 1], [[1, 0, 1], 1],
-                    [[1, 1, 0], 1]]}
-
-
 def test_windows_over_the_budget_are_refused():
     _, _, cd = pipeline("cyclic:3")
     # C(3 + 180, 3) = 1 004 731 and 1001 * 1001 * 1 = 1 002 001 vectors

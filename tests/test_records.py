@@ -108,7 +108,7 @@ def test_fields_cannot_be_set_or_deleted(case):
 def test_public_class_surface(case):
     cls = case[0]
     assert cls.__doc__ and not cls.__doc__.startswith(cls.__name__ + "(")
-    if cls is not GroupSpec:
+    if cls not in (GroupSpec, MultiplicityTable):
         assert "to_json_obj" in cls.__dict__
     if cls in (FiniteSubgroup, CharacterTable, CartanData):
         assert isinstance(cls.__dict__["from_json_obj"], staticmethod)
