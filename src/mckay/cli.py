@@ -241,13 +241,14 @@ def _dispatch(args) -> None:
         raise ValueError(f"unknown command {args.command!r}")
 
 
-def _glue_eigs(argv: list[str]) -> list[str]:
-    """`drinfeld --eigs -3/2,1` as `--eigs=-3/2,1`: argparse reads a value
-    that starts with '-' and is not a plain number as an option."""
+def _glue_vectors(argv: list[str]) -> list[str]:
+    """`--w -1,0,0` as `--w=-1,0,0` for each vector option: argparse reads
+    a value that starts with '-' and is not a plain number as an option."""
     glued: list[str] = []
     for arg in argv:
-        if glued[-1:] == ["--eigs"] and re.match(r"-[0-9]", arg):
-            glued[-1] = f"--eigs={arg}"
+        if (glued[-1:] and glued[-1] in ("--eigs", "--hw", "--w", "--v", "--v0", "--lam")
+                and re.match(r"-[0-9]", arg)):
+            glued[-1] = f"{glued[-1]}={arg}"
         else:
             glued.append(arg)
     return glued
@@ -256,7 +257,7 @@ def _glue_eigs(argv: list[str]) -> list[str]:
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_glue_eigs(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(_glue_vectors(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

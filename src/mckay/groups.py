@@ -22,6 +22,7 @@ import json
 import random
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from .cyclotomic import CycNumber, root_of_unity
 from .errors import InternalError
@@ -225,7 +226,7 @@ class FiniteSubgroup(Record):
     order, canonical serialization); classes by (representative order,
     class size, representative serialization).  Everything downstream
     relies on these orders being deterministic, and the constructor
-    refuses any other.
+    sorts into them.
     """
 
     __slots__ = ("spec", "elements", "mult_table", "inverse_of", "element_orders",
@@ -236,21 +237,30 @@ class FiniteSubgroup(Record):
     def __init__(self, spec: GroupSpec, elements: tuple[GroupElement, ...],
                  mult_table: tuple[tuple[int, ...], ...]):
         """Checks in time O(|G|^2) and without matrix products that the
-        table is a group law on the canonically ordered elements."""
-        _set(self, "spec", spec)
-        _set(self, "elements", elements)
-        _set(self, "mult_table", mult_table)
+        table is a group law on the elements, identity first, and sorts
+        them into the canonical order, relabeling the table to match."""
         table = mult_table
         n = len(elements)
-        if n != self.spec.order or elements[0] != IDENTITY:
-            raise GroupConstructionError(f"{self.spec}: {n} elements, expected "
-                                         f"{self.spec.order}, identity first")
+        if n != spec.order or elements[0] != IDENTITY:
+            raise GroupConstructionError(f"{spec}: {n} elements, expected "
+                                         f"{spec.order}, identity first")
         span = set(range(n))
         if len(table) != n or any(len(line) != n or set(line) != span
                                   for line in (*table, *zip(*table))):
             raise GroupConstructionError("the table is not a Latin square")
         if any(table[0][j] != j or table[j][0] != j for j in range(n)):
             raise GroupConstructionError("identity row/column is wrong")
+        powers = [_powers(table, i) for i in range(n)]
+        keys = [_element_key(i, g, len(p)) for i, (g, p) in enumerate(zip(elements, powers))]
+        perm = sorted(range(n), key=keys.__getitem__)
+        if any(keys[a] == keys[b] for a, b in zip(perm, perm[1:])):
+            raise GroupConstructionError("two elements are equal")
+        if perm != list(range(n)):  # a cached group is stored sorted
+            where = sorted(range(n), key=perm.__getitem__)  # old index -> new
+            pick = itemgetter(*perm)
+            elements = pick(elements)
+            table = tuple(tuple(map(where.__getitem__, pick(table[old]))) for old in perm)
+            powers = [[where[x] for x in powers[old]] for old in perm]
         inverse_of = tuple(row.index(0) for row in table)
         if any(table[j][i] != 0 for i, j in enumerate(inverse_of)):
             raise GroupConstructionError("inverse map is wrong")
@@ -259,20 +269,16 @@ class FiniteSubgroup(Record):
             a, b, c = (rng.randrange(n) for _ in range(3))
             if table[table[a][b]][c] != table[a][table[b][c]]:
                 raise GroupConstructionError("associativity spot check failed")
-        powers = [_powers(table, i) for i in range(n)]
         orders = tuple(map(len, powers))
-        keys = [_element_key(elements, orders, i) for i in range(n)]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise GroupConstructionError("elements, orders and table are not "
-                                         "in canonical order")
-        classes = _canonical_classes(table, inverse_of, orders, elements)
+        classes = _canonical_classes(table, inverse_of, orders)
         class_of = [0] * n
         for ci, members in enumerate(classes):
             for m in members:
                 class_of[m] = ci
         reps = tuple(c[0] for c in classes)
         power_classes = tuple(tuple(class_of[x] for x in powers[rep]) for rep in reps)
-        for name, value in (("inverse_of", inverse_of), ("element_orders", orders),
+        for name, value in (("spec", spec), ("elements", elements), ("mult_table", table),
+                            ("inverse_of", inverse_of), ("element_orders", orders),
                             ("exponent", lcm(*orders)), ("classes", classes),
                             ("class_of", tuple(class_of)), ("class_reps", reps),
                             ("power_classes", power_classes)):
@@ -313,8 +319,8 @@ class FiniteSubgroup(Record):
                   for e in obj["elements"]),
             tuple(tuple(int(x) for x in row) for row in obj["mult_table"]))
         if json.dumps(group.to_json_obj()) != json.dumps(obj):
-            raise GroupConstructionError("stored inverses, orders, classes, exponent "
-                                         "or JSON integers differ from what the table gives")
+            raise GroupConstructionError("stored elements, orders, inverses, classes, "
+                                         "exponent or JSON integers differ from the table's")
         return group
 
 
@@ -339,9 +345,6 @@ def _close_under_multiplication(gens: list[GroupElement],
             for pos, h in enumerate(gens):
                 prod = g * h
                 if prod not in index:
-                    if prod.det() != 1:
-                        raise GroupConstructionError(
-                            f"closure produced a matrix with det {prod.det()} != 1")
                     index[prod] = len(elements)
                     elements.append(prod)
                     parents.append((gi, pos))
@@ -355,7 +358,7 @@ def _close_under_multiplication(gens: list[GroupElement],
     return elements, parents, right
 
 
-def _full_table(parents, right) -> list[list[int]]:
+def _full_table(parents, right) -> tuple[tuple[int, ...], ...]:
     """Multiplication table from the closure's right translations, with
     no further matrix products: writing e_j = e_parent * gen gives
     e_i e_j = (e_i e_parent) gen, so each column is its parent's column
@@ -363,7 +366,7 @@ def _full_table(parents, right) -> list[list[int]]:
     columns = [list(range(len(parents)))]
     for parent, pos in parents[1:]:
         columns.append([right[x][pos] for x in columns[parent]])
-    return [list(row) for row in zip(*columns)]
+    return tuple(zip(*columns))
 
 
 def _powers(table, i: int) -> list[int]:
@@ -375,15 +378,16 @@ def _powers(table, i: int) -> list[int]:
     return powers
 
 
-def _element_key(elements, orders, i: int) -> tuple:
+def _element_key(i: int, element: GroupElement, order: int) -> tuple:
     """Canonical element order: identity first, then (order, serialization)."""
-    return (i != 0, orders[i], elements[i].sort_key())
+    return (i != 0, order, element.sort_key())
 
 
-def _canonical_classes(table, inverse_of, orders, elements) -> tuple:
+def _canonical_classes(table, inverse_of, orders) -> tuple:
     """Conjugacy classes, each sorted so that its least member is its
     representative, in (representative order, class size, representative
-    serialization) order."""
+    serialization) order; on canonically ordered elements, comparing the
+    representatives' indices compares their serializations."""
     n = len(table)
     seen = [False] * n
     classes = []
@@ -393,22 +397,14 @@ def _canonical_classes(table, inverse_of, orders, elements) -> tuple:
             for m in members:
                 seen[m] = True
             classes.append(tuple(members))
-    classes.sort(key=lambda c: (orders[c[0]], len(c), elements[c[0]].sort_key()))
+    classes.sort(key=lambda c: (orders[c[0]], len(c), c[0]))
     return tuple(classes)
 
 
 def build_group(spec: GroupSpec) -> FiniteSubgroup:
-    """Enumerate the group and order its elements canonically."""
+    """Enumerate the group in closure order; the constructor sorts it."""
     elements, parents, right = _close_under_multiplication(_generators(spec), spec.order)
-    n = len(elements)
-    table = _full_table(parents, right)
-    orders = [len(_powers(table, i)) for i in range(n)]
-    perm = sorted(range(n), key=lambda i: _element_key(elements, orders, i))
-    where = {old: new for new, old in enumerate(perm)}
-    return FiniteSubgroup(
-        spec, tuple(elements[old] for old in perm),
-        tuple(tuple(where[table[perm[i]][perm[j]]] for j in range(n))
-              for i in range(n)))
+    return FiniteSubgroup(spec, tuple(elements), _full_table(parents, right))
 
 
 def read_value(obj: dict, order: int, seen: dict) -> CycNumber:

@@ -151,9 +151,11 @@ def transported_framing(w, v0, cd: CartanData) -> tuple[int, ...] | None:
 def fiber_parts(v, w, v0, lam, cd: CartanData) -> FiberLabel:
     """Fiber bookkeeping from raw pieces: the residual Lagrangian label
     v - v0 - m*delta with the transported framing, and one punctual
-    factor per partition part."""
+    factor per partition part.  v, w and v0 must be nonnegative."""
     v, w, v0, lam = tuple(v), tuple(w), tuple(v0), tuple(lam)
     _check_lengths(cd, v, w, v0)
+    if min(v + w + v0) < 0:
+        raise ValueError("v, w and v0 must be componentwise nonnegative")
     m = sum(lam)
     lagrangian = tuple(a - b - m * d for a, b, d in zip(v, v0, cd.delta))
     return FiberLabel(lagrangian, transported_framing(w, v0, cd), lam)

@@ -203,6 +203,26 @@ def test_drinfeld_eigs_starting_with_a_minus_sign_in_both_spellings(capsys, eigs
     assert spaced == joined
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["char", "cyclic:3", "--depth", "1", "--hw", "-1,0,0"],
+     "framing entries must be nonnegative"),
+    (["strata", "cyclic:3", "--n", "3", "--w", "-1,0,0"],
+     "framing must be a nonnegative vector on the vertices"),
+    (["fiber", "cyclic:3", "--w", "1,0,0", "--v0", "0,0,0", "--v", "-1,1,1"],
+     "v, w and v0 must be componentwise nonnegative"),
+    (["fiber", "cyclic:3", "--v", "1,1,1", "--v0", "0,0,0", "--w", "-1,0,0"],
+     "v, w and v0 must be componentwise nonnegative"),
+    (["fiber", "cyclic:3", "--v", "1,1,1", "--w", "1,0,0", "--v0", "-1,0,0"],
+     "v, w and v0 must be componentwise nonnegative"),
+], ids=["char-hw", "strata-w", "fiber-v", "fiber-w", "fiber-v0"])
+def test_a_negative_vector_after_a_space_is_read_as_a_value(capsys, argv, message):
+    *head, option, value = argv
+    for spelling in ([*head, option, value], [*head, f"{option}={value}"]):
+        code, out, err = invoke(capsys, *spelling)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("eigs,message", [
     ("1e30000000", "bad eigenvalue"),
     ("z1000000007^1000000006", "order lcm 1000000007, above the budget of 360"),

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,30 @@ def test_group_json_round_trip():
     again = FiniteSubgroup.from_json_obj(g.to_json_obj())
     assert again.to_json_obj() == g.to_json_obj()
     assert again.elements == g.elements
+
+
+@pytest.mark.parametrize("text,seed", [("cyclic:6", 0), ("binary-dihedral:3", 1),
+                                       ("binary-icosahedral", 2)])
+def test_shuffled_elements_are_sorted_into_the_canonical_order(text, seed):
+    from mckay.groups import FiniteSubgroup
+    g, _, _ = pipeline(text)
+    perm = [0, *random.Random(seed).sample(range(1, g.order), g.order - 1)]
+    where = {old: new for new, old in enumerate(perm)}
+    shuffled = FiniteSubgroup(
+        g.spec, tuple(g.elements[old] for old in perm),
+        tuple(tuple(where[g.mult_table[i][j]] for j in perm) for i in perm))
+    assert shuffled == build_group(GroupSpec.parse(text))
+
+
+def test_two_equal_elements_are_refused():
+    from mckay.groups import FiniteSubgroup
+    g, _, _ = pipeline("binary-dihedral:2")
+    i, j = 2, 3
+    assert g.element_orders[i] == g.element_orders[j]
+    elements = list(g.elements)
+    elements[j] = elements[i]
+    with pytest.raises(GroupConstructionError, match="two elements are equal"):
+        FiniteSubgroup(g.spec, tuple(elements), g.mult_table)
 
 
 def _swap(items, a, b):

@@ -1,7 +1,7 @@
 """The JSON the CLI prints for `group`, `chartab` and `quiver`, pinned by
-sha256 on every small spec, and for `chartab` and `quiver` also on four
-specs with 30 to 60 classes.  Any change to elements, their order, the
-classes, the character values or the quiver changes a digest."""
+sha256 on every small spec and on four specs with 30 to 60 classes.  Any
+change to elements, their order, the classes, the character values or
+the quiver changes a digest."""
 
 import hashlib
 import json
@@ -123,6 +123,14 @@ SCALE_DIGESTS = {
         "be16dfa0e5998b3f5c2d8df32925fdd25dfae47bb4b33aa2a41b5dc4ee2b37c6"),
 }
 
+# spec: sha256 of the `group` stdout, at r = 30 to 60
+SCALE_GROUP_DIGESTS = {
+    "cyclic:30": "592bb1c510b5bb4e7121864e3c0dbd4875834fbf2fa4075a7b06f7333dabaa37",
+    "cyclic:60": "79593aaf48b48eb124a2b2f98a7f6f9d8dd9854e927b46de49b5e5d922781777",
+    "binary-dihedral:30": "e243098ccb36419ebebc1bdff169757370b03293248c35a9e4742dd4dd754c1f",
+    "binary-dihedral:57": "ee66547bf1304f68444c65231b27f1e377adc36cee2dc38abbbd57ccd87a7365",
+}
+
 
 @pytest.mark.parametrize("spec", DIGESTS)
 def test_group_chartab_and_quiver_json_are_pinned(spec):
@@ -139,3 +147,10 @@ def test_chartab_and_quiver_json_are_pinned_at_scale(spec):
                                     + "\n").encode()).hexdigest()
                     for obj in (table, cartan))
     assert digests == SCALE_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", SCALE_GROUP_DIGESTS)
+def test_group_json_is_pinned_at_scale(spec):
+    group, _, _ = pipeline(spec)
+    text = json.dumps(group.to_json_obj(), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SCALE_GROUP_DIGESTS[spec]

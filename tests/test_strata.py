@@ -133,6 +133,17 @@ def test_fiber_decomposition_flags_negative_labels():
 
 
 @pytest.mark.parametrize("v,w,v0", [
+    ((1, 1, 1), (1, 0, 0), (-1, 0, 0)),
+    ((-1, 1, 1), (1, 0, 0), (0, 0, 0)),
+    ((1, 1, 1), (-1, 0, 0), (0, 0, 0)),
+], ids=["negative-v0", "negative-v", "negative-w"])
+def test_negative_vectors_are_refused(v, w, v0):
+    _, _, cd = pipeline("cyclic:3")
+    with pytest.raises(ValueError, match="componentwise nonnegative"):
+        fiber_parts(v, w, v0, (), cd)
+
+
+@pytest.mark.parametrize("v,w,v0", [
     ((1,), (1, 0, 0), (0, 0, 0)),
     ((1, 0, 0), (1, 0, 0, 5), (0, 0, 0)),
     ((1, 0, 0), (1, 0, 0), (0, 0)),
