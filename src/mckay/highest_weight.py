@@ -9,21 +9,21 @@ with multiplicity m(v).  Two independent algorithms are provided:
     invariant).  It carries the weight's pairing with the coroots along
     each row instead of recomputing it per drop;
   * weylkac_oracle: a truncated series evaluation of the character as
-    (alternating sum over the affine Weyl orbit of w + rho) divided by
-    the product of (1 - e^-beta)^mult over positive roots.  The series
-    lies row by row in one flat list, and each factor is divided out in
-    one sweep of (source, destination) row pairs.
+    the quotient of two alternating sums over affine Weyl orbits, that
+    of w + rho by that of rho.  By Kac's denominator identity the
+    latter is the product of (1 - e^-beta)^mult over positive roots.
+    The quotient is pushed through the window by height, and only its
+    nonzero entries do any work.
 
 Both run over one finite window of drop vectors: either all v of height
 at most D, or all v componentwise below a cap (the cap form reaches
 the imaginary root of the big exceptional types cheaply, since the box
 below delta is small while the height simplex is astronomically big).
-Both walk the window row by row, a row fixing every coordinate but the
-last, in lex order; that order puts every u < v componentwise before v,
-which is all either recursion needs.  The window owns the row layout,
-so neither algorithm looks at the window's shape.  A window of more
-than WINDOW_BUDGET vectors is refused up front.  All arithmetic is
-exact integers.
+Freudenthal walks the window row by row, a row fixing every coordinate
+but the last, in lex order; that order puts every u < v componentwise
+before v, which is all its recursion needs.  A window of more than
+WINDOW_BUDGET vectors is refused up front.  All arithmetic is exact
+integers.
 
 The symmetric form is fixed by (Lambda_i, alpha_j) = delta_ij and
 (alpha_i, alpha_j) = C_ij, with rho = sum Lambda_i; positive affine
@@ -33,10 +33,9 @@ the imaginary multiples of delta carrying multiplicity rank.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from operator import add, mul, sub
+from operator import le, mul, sub
 
 from .cyclotomic import CycNumber
 from .errors import InvariantError
@@ -93,13 +92,10 @@ def _check_framing(w, cd: CartanData) -> tuple[int, ...]:
 
 class _Window:
     """A downward-closed set of drop vectors v >= 0: a simplex
-    (sum(v) <= depth) or a box (v <= cap componentwise).  Its rows are
-    laid end to end in lex order, and it owns their addressing: offset
-    places a member, and passes pairs each row of v - beta with the row
-    of v.  A box row starts at a mixed-radix sum of its prefix; a
-    simplex row is looked up by its prefix.  Only member, size, rows,
-    offset and passes look at which of the two it is, so the algorithms
-    never do."""
+    (sum(v) <= depth) or a box (v <= cap componentwise).  rows() lays it
+    out in lex order, the order Freudenthal's recursion walks.  Besides
+    member, size and rows, only the Weyl-Kac core looks at which of the
+    two it is, and it reads a simplex as a box of height depth."""
 
     def __init__(self, n: int, depth: int | None = None,
                  cap: tuple[int, ...] | None = None):
@@ -128,7 +124,7 @@ class _Window:
             return False
         if self.cap is None:
             return sum(v) <= self.depth
-        return all(a <= c for a, c in zip(v, self.cap))
+        return all(map(le, v, self.cap))
 
     @property
     def size(self) -> int:
@@ -150,47 +146,6 @@ class _Window:
                         for k in range(self.depth - height + 1)]
         return ((prefix, self.depth - height + 1)
                 for prefix, height in prefixes)
-
-    @functools.cached_property
-    def _starts(self) -> dict[tuple[int, ...], int]:
-        """Flat offset of each simplex row, by its prefix."""
-        starts = {}
-        size = 0
-        for prefix, run in self.rows():
-            starts[prefix] = size
-            size += run
-        return starts
-
-    @functools.cached_property
-    def _strides(self) -> tuple[int, ...]:
-        """Mixed-radix place values of the box coordinates."""
-        strides = [1]
-        for c in reversed(self.cap[1:]):
-            strides.append(strides[-1] * (c + 1))
-        return tuple(reversed(strides))
-
-    def offset(self, v) -> int:
-        """Position of member v when the rows are laid end to end."""
-        if self.cap is None:
-            return self._starts[v[:-1]] + v[-1]
-        return sum(map(mul, v, self._strides))
-
-    def passes(self, beta) -> list[tuple[int, int, int]]:
-        """(src, dst, run) per row of the members v >= beta: the run
-        entries from offset src hold v - beta for the run entries v from
-        offset dst, in the rows' order.  The v - beta fill the simplex
-        of depth - height(beta).  A box row starts at a linear function
-        of its prefix, so there dst = src + offset(beta)."""
-        if self.cap is None:
-            start, head, last = self._starts, beta[:-1], beta[-1]
-            shifted = _Window(self.n, depth=self.depth - sum(beta))
-            return [(start[q], start[tuple(map(add, q, head))] + last, run)
-                    for q, run in shifted.rows()]
-        srcs = [0]
-        for c, b, stride in zip(self.cap[:-1], beta[:-1], self._strides[:-1]):
-            srcs = [s + k * stride for s in srcs for k in range(c - b + 1)]
-        shift, run = self.offset(beta), self.cap[-1] - beta[-1] + 1
-        return [(src, src + shift, run) for src in srcs]
 
 
 def _window_roots(cd: CartanData, window: _Window
@@ -219,8 +174,7 @@ def _sparse_rows(cartan) -> list[list[tuple[int, int]]]:
     return [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
 
 
-def _freudenthal_core(w: tuple[int, ...], cd: CartanData, window: _Window,
-                      roots: list[tuple[tuple[int, ...], int]]
+def _freudenthal_core(w: tuple[int, ...], cd: CartanData, window: _Window
                       ) -> dict[tuple[int, ...], int]:
     """The recursion over window.rows(), whose lex order puts every
     u < v componentwise before v: each v - k beta and each reflected
@@ -234,7 +188,7 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, window: _Window,
     root_data = [(beta, mult, [(i, b) for i, b in enumerate(beta) if b],
                   sum(beta[i] * c * beta[j] for i, row in enumerate(cd.cartan)
                       for j, c in enumerate(row)))
-                 for beta, mult in roots]
+                 for beta, mult in _window_roots(cd, window)]
     table: dict[tuple[int, ...], int] = {}
     for prefix, run in window.rows():
         pair = [wi - sum(map(mul, row, prefix)) for wi, row in zip(w, head)]
@@ -291,67 +245,91 @@ def _numerator_signs(w: tuple[int, ...], cd: CartanData,
     by the drop of the orbit point below w + rho.  Drops grow
     monotonically along geodesics from the identity, so pruning to the
     window loses nothing inside it."""
-    n = cd.vertex_count
     rows = _sparse_rows(cd.cartan)
-    zero = tuple([0] * n)
+    zero = (0,) * cd.vertex_count
     signs: dict[tuple[int, ...], int] = {zero: 1}
-    queue = [zero]
+    # each drop with its pairing w + rho - C drop with the simple coroots
+    queue = [(zero, [x + 1 for x in w])]
     while queue:
-        drop = queue.pop()
-        sign = signs[drop]
-        for i in range(n):
-            pairing = (w[i] + 1) - sum(c * drop[j] for j, c in rows[i])
-            moved = list(drop)
-            moved[i] += pairing
-            candidate = tuple(moved)
+        drop, pairing = queue.pop()
+        sign = -signs[drop]
+        for i, p in enumerate(pairing):
+            if p < 0:
+                continue  # s_i lowers the drop, back towards the identity
+            candidate = drop[:i] + (drop[i] + p,) + drop[i + 1:]
             if candidate not in signs and member(candidate):
-                signs[candidate] = -sign
-                queue.append(candidate)
+                signs[candidate] = sign
+                moved = pairing[:]
+                for j, c in rows[i]:
+                    moved[j] -= c * p
+                queue.append((candidate, moved))
     return signs
 
 
-def _weylkac_core(w: tuple[int, ...], cd: CartanData, window: _Window,
-                  roots: list[tuple[tuple[int, ...], int]]
+def _weylkac_core(w: tuple[int, ...], cd: CartanData, window: _Window
                   ) -> dict[tuple[int, ...], int]:
-    """The numerator laid out row by row in one flat list, divided by
-    each factor (1 - e^-beta) in place: every entry at v >= beta gains
-    the entry at v - beta, row by row as window.passes(beta) pairs
-    them.  The rows run in increasing lex order, which refines the
-    componentwise order of a downward-closed window, so every source
-    entry is final before it is read."""
-    series = [0] * window.size
-    for drop, sign in _numerator_signs(w, cd, window.member).items():
-        series[window.offset(drop)] = sign
+    """The character as the quotient N_w / N_0 of two numerators: by
+    Kac's denominator identity N_0 is the product of (1 - e^-beta)^mult
+    over the positive roots.  The quotient is pushed height by height:
+    an entry at v is final when its height comes up, and it then
+    subtracts its value times N_0[d] at every v + d in the window.
 
-    for beta, mult in roots:
-        passes = window.passes(beta)
-        for _ in range(mult):
-            for src, dst, run in passes:
-                for k in range(run):
-                    value = series[src + k]
-                    if value:
-                        series[dst + k] += value
+    A simplex is the box with every cap at its depth, and a box has
+    depth sum(cap).  A drop is packed into one int, field i holding
+    v_i + bias_i in b_i + 1 bits, where b_i = cap_i.bit_length() and
+    bias_i = 2^b_i - 1 - cap_i.  A sum v_i + d_i <= 2 cap_i never
+    carries out of its field, and it sets the field's top bit exactly
+    when it is above cap_i."""
+    n = cd.vertex_count
+    cap, depth = window.cap, window.depth
+    if cap is None:
+        cap = (depth,) * n
+    else:
+        depth = sum(cap)
+    fields, bias, high, shift = [], 0, 0, 0
+    for c in cap:
+        bits = c.bit_length()
+        fields.append((shift, (2 << bits) - 1))
+        bias += ((1 << bits) - 1 - c) << shift
+        high += 1 << (shift + bits)
+        shift += bits + 1
+
+    def pack(v):
+        return sum(x << s for x, (s, _) in zip(v, fields))
+
+    # N_0 without its origin term, by height, each term negated
+    denominator = [[] for _ in range(depth + 1)]
+    for d, sign in _numerator_signs((0,) * n, cd, window.member).items():
+        if any(d):
+            denominator[sum(d)].append((pack(d), -sign))
+    buckets = [{} for _ in range(depth + 1)]
+    for v, sign in _numerator_signs(w, cd, window.member).items():
+        buckets[sum(v)][pack(v) + bias] = sign
 
     table = {}
-    row = 0
-    for prefix, run in window.rows():
-        for k in range(run):
-            value = series[row + k]
-            if value:
-                v = prefix + (k,)
-                if value < 0:
-                    raise InvariantError(f"negative coefficient at v={v} in "
-                                         "the character series")
-                table[v] = value
-        row += run
-    if table.get(tuple([0] * cd.vertex_count)) != 1:
+    for height, bucket in enumerate(buckets):
+        for key, value in bucket.items():
+            if not value:
+                continue
+            v = tuple(((key - bias) >> s) & mask for s, mask in fields)
+            if value < 0:
+                raise InvariantError(f"negative coefficient at v={v} in "
+                                     "the character series")
+            table[v] = value
+            for step in range(1, depth - height + 1):
+                target = buckets[height + step]
+                for d, sign in denominator[step]:
+                    moved = key + d
+                    if not moved & high:
+                        target[moved] = target.get(moved, 0) + sign * value
+    if table.get((0,) * n) != 1:
         raise InvariantError("highest weight multiplicity is not 1")
     return table
 
 
 def _table(core, w, cd: CartanData, window: _Window) -> MultiplicityTable:
     w = _check_framing(w, cd)
-    entries = core(w, cd, window, _window_roots(cd, window))
+    entries = core(w, cd, window)
     return MultiplicityTable(framing=w, depth=window.depth, cap=window.cap,
                              entries=entries)
 

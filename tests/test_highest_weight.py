@@ -1,9 +1,13 @@
+from operator import add
+
 import pytest
 
 from mckay.cyclotomic import CycNumber, root_of_unity
-from mckay.highest_weight import (MultiplicityTable, _Window,
-                                  drinfeld_polynomials, freudenthal,
-                                  freudenthal_box, weylkac_box, weylkac_oracle)
+from mckay.errors import InvariantError
+from mckay.highest_weight import (MultiplicityTable, _numerator_signs, _Window,
+                                  _window_roots, drinfeld_polynomials,
+                                  freudenthal, freudenthal_box, weylkac_box,
+                                  weylkac_oracle)
 from mckay.roots import MVStatus, m_v_status
 from mckay.strata import cartan_apply
 
@@ -50,6 +54,9 @@ def test_delta_multiplicity_is_the_rank():
     ("binary-tetrahedral", (1, 0, 0, 0, 0, 0, 0), 5),
     ("cyclic:2", (1, 0), 0),
     ("cyclic:2", (1, 0), 1),
+    # dense quotients: 4 646 nonzero entries of 5 005, and 769 of 1 891
+    ("binary-icosahedral", (3,) * 9, 6),
+    ("cyclic:2", (5, 7), 60),
 ])
 def test_two_algorithms_agree(text, w, depth):
     _, _, cd = pipeline(text)
@@ -58,8 +65,9 @@ def test_two_algorithms_agree(text, w, depth):
 
 def test_box_windows_agree_with_each_other_and_with_the_simplex():
     # uneven caps, a 0 in the last entry (runs of length 1), a 0 inside,
-    # leading zeros with the largest entry not last; None is the box
-    # below delta, here under Lambda_0 + Lambda_1
+    # leading zeros with the largest entry not last, caps 7 and 8 on
+    # either side of a power of 2 with weights past both; None is the
+    # box below delta, here under Lambda_0 + Lambda_1
     for text, w, cap in [("cyclic:3", (1, 0, 0), (2, 2, 2)),
                          ("cyclic:3", (1, 0, 0), (1, 2, 0)),
                          ("binary-dihedral:2", (1, 0, 0, 0, 0),
@@ -69,6 +77,8 @@ def test_box_windows_agree_with_each_other_and_with_the_simplex():
                          ("binary-dihedral:2", (1, 1, 0, 0, 0),
                           (0, 2, 1, 0, 2)),
                          ("binary-dihedral:2", (1, 1, 0, 0, 0), None),
+                         ("binary-dihedral:2", (0, 1, 8, 9, 1),
+                          (0, 1, 7, 8, 1)),
                          ("binary-tetrahedral", (1, 1, 0, 0, 0, 0, 0), None)]:
         _, _, cd = pipeline(text)
         cap = cd.delta if cap is None else cap
@@ -101,19 +111,57 @@ def test_rows_put_every_predecessor_first(window):
                 assert position[u] < k, (u, v)
 
 
-@pytest.mark.parametrize("window,beta", [
-    (_Window.simplex(4, 5), (0, 1, 0, 2)), (_Window.simplex(3, 4), (0, 0, 1)),
-    (_Window.box(5, (0, 2, 1, 0, 2)), (0, 1, 1, 0, 0)),
-    (_Window.box(5, (0, 2, 1, 0, 2)), (0, 0, 0, 0, 1)),
-    (_Window.box(4, (1, 2, 2, 1)), (1, 1, 0, 1))])
-def test_passes_pair_each_member_with_its_drop_by_beta(window, beta):
-    order = _laid_out(window)
-    assert [window.offset(v) for v in order] == list(range(window.size))
-    pairs = [(order[src + k], order[dst + k])
-             for src, dst, run in window.passes(beta) for k in range(run)]
-    targets = [v for v in order if all(a >= b for a, b in zip(v, beta))]
-    assert [v for _, v in pairs] == targets
-    assert all(tuple(a - b for a, b in zip(v, beta)) == u for u, v in pairs)
+@pytest.mark.parametrize("text,depth", [
+    ("cyclic:2", 12), ("binary-dihedral:2", 6),
+    ("binary-tetrahedral", None), ("binary-octahedral", None)])
+def test_denominator_identity_matches_the_root_multiplicities(text, depth):
+    # Kac's denominator identity: the alternating sum over the Weyl orbit
+    # of rho is the product of (1 - e^-beta)^mult over the positive
+    # roots; None is the box below delta
+    _, _, cd = pipeline(text)
+    n = cd.vertex_count
+    window = (_Window.box(n, cd.delta) if depth is None
+              else _Window.simplex(n, depth))
+    product = {(0,) * n: 1}
+    for beta, mult in _window_roots(cd, window):
+        for _ in range(mult):
+            for v, c in list(product.items()):
+                u = tuple(map(add, v, beta))
+                if window.member(u):
+                    product[u] = product.get(u, 0) - c
+            product = {v: c for v, c in product.items() if c}
+    assert _numerator_signs((0,) * n, cd, window.member) == product
+
+
+def _origin_scaled(monkeypatch, factor):
+    """_numerator_signs with the origin term of every numerator but the
+    denominator's multiplied by factor."""
+    def scaled(w, cd, member):
+        series = _numerator_signs(w, cd, member)
+        if any(w):
+            series[(0,) * cd.vertex_count] *= factor
+        return series
+    monkeypatch.setattr("mckay.highest_weight._numerator_signs", scaled)
+
+
+def test_a_negative_series_coefficient_is_refused(monkeypatch):
+    # the quotient becomes the character minus twice 1 / N_0
+    _origin_scaled(monkeypatch, -1)
+    _, _, cd = pipeline("cyclic:2")
+    for algorithm, window in [(weylkac_oracle, 3), (weylkac_box, (2, 2))]:
+        with pytest.raises(InvariantError, match=r"negative coefficient at "
+                           r"v=\(0, 0\) in the character series"):
+            algorithm((1, 0), cd, window)
+
+
+def test_a_highest_weight_multiplicity_other_than_1_is_refused(monkeypatch):
+    # the quotient becomes the character plus 1 / N_0, which is >= 0
+    _origin_scaled(monkeypatch, 2)
+    _, _, cd = pipeline("cyclic:2")
+    for algorithm, window in [(weylkac_oracle, 3), (weylkac_box, (2, 2))]:
+        with pytest.raises(InvariantError,
+                           match="highest weight multiplicity is not 1"):
+            algorithm((1, 0), cd, window)
 
 
 def test_tables_compare_by_framing_window_and_entries():
