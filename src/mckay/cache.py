@@ -1,4 +1,4 @@
-"""On-disk cache of computed groups and character tables.
+"""On-disk cache of computed character tables.
 
 One compact JSON file per group spec under the cache directory (the
 MCKAY_CACHE environment variable, or a per-user cache directory).
@@ -13,7 +13,7 @@ import os
 import tempfile
 from pathlib import Path
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 __all__ = ["FORMAT_VERSION", "cache_dir", "entry_path", "load", "store"]
 

@@ -20,7 +20,7 @@ from math import lcm
 from . import cache
 from .chartab import CharacterTable, character_table
 from .cyclotomic import CycNumber, root_of_unity
-from .errors import InternalError, InvariantError
+from .errors import InternalError
 from .groups import CLASS_BUDGET, FiniteSubgroup, GroupSpec, build_group
 from .highest_weight import drinfeld_polynomials, freudenthal, weylkac_oracle
 from .quiver import CartanData, mckay_quiver, to_dot
@@ -32,29 +32,26 @@ __all__ = ["run", "main"]
 
 def load_pipeline(spec: GroupSpec, use_cache: bool = True
                   ) -> tuple[FiniteSubgroup, CharacterTable, CartanData]:
-    """Group, character table, and Cartan data for a spec, through the
-    on-disk cache unless told otherwise.  The entry holds the group and
-    the table, which are rebuilt from their defining data with every
-    check; the quiver is always derived from the table.  An entry that
-    fails to load or to verify is recomputed and overwritten."""
+    """Group, character table, and Cartan data for a spec.  The group is
+    always built by closure; the table goes through the on-disk cache
+    unless told otherwise.  The entry holds the table alone, which is
+    rebuilt from its values on the group with every check; the quiver
+    is always derived from the table.  An entry that fails to load or to
+    verify is recomputed and overwritten."""
     key = str(spec)
+    group = build_group(spec)
     payload = cache.load(key) if use_cache else None
     if payload is not None:
         try:
-            group = FiniteSubgroup.from_json_obj(payload["group"])
-            if group.spec != spec:
-                raise InvariantError("the entry holds another group")
             table = CharacterTable.from_json_obj(payload["chartab"], group)
             return group, table, mckay_quiver(table)
         except (LookupError, TypeError, ValueError, AttributeError,
                 ArithmeticError, InternalError):
             pass  # a damaged entry, or one that does not verify
-    group = build_group(spec)
     table = character_table(group)
     if use_cache:
         try:
-            cache.store(key, {"group": group.to_json_obj(),
-                              "chartab": table.to_json_obj()})
+            cache.store(key, {"chartab": table.to_json_obj()})
         except OSError as exc:
             print(f"warning: cache not written: {exc}", file=sys.stderr)
     return group, table, mckay_quiver(table)

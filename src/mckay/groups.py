@@ -255,7 +255,7 @@ class FiniteSubgroup(Record):
         perm = sorted(range(n), key=keys.__getitem__)
         if any(keys[a] == keys[b] for a, b in zip(perm, perm[1:])):
             raise GroupConstructionError("two elements are equal")
-        if perm != list(range(n)):  # a cached group is stored sorted
+        if perm != list(range(n)):  # a group already in canonical order is kept
             where = sorted(range(n), key=perm.__getitem__)  # old index -> new
             pick = itemgetter(*perm)
             elements = pick(elements)

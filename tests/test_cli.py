@@ -335,7 +335,7 @@ def test_corrupt_cache_entries_are_recomputed(capsys):
     for damaged in (("[" * 200000 + "]" * 200000).encode(),
                     b"\xff\xfe" + json.dumps({"key": "cyclic:3"}).encode(),
                     json.dumps({"format_version": cache.FORMAT_VERSION, "key": "cyclic:3",
-                                "payload": {"group": "x"}}).replace(
+                                "payload": {"chartab": "x"}}).replace(
                                     '"x"', "1" * 5000).encode()):
         path.write_bytes(damaged)
         code, out, err = invoke(capsys, "dimg", "cyclic:3")
@@ -345,9 +345,7 @@ def test_corrupt_cache_entries_are_recomputed(capsys):
 def _fresh_payload(spec):
     from mckay.chartab import character_table
     from mckay.groups import GroupSpec, build_group
-    group = build_group(GroupSpec.parse(spec))
-    return {"group": group.to_json_obj(),
-            "chartab": character_table(group).to_json_obj()}
+    return {"chartab": character_table(build_group(GroupSpec.parse(spec))).to_json_obj()}
 
 
 def _empty_payload(payload):
@@ -389,11 +387,11 @@ def _reattached_leaves(payload):
     the rows are still the irreducible characters, but out of canonical
     order, and the quiver read from them has the two leaves reattached."""
     from mckay.chartab import CharacterTable
-    from mckay.groups import FiniteSubgroup
+    from mckay.groups import GroupSpec, build_group
     from mckay.quiver import mckay_quiver
     table = payload["chartab"]
     cartan = mckay_quiver(CharacterTable.from_json_obj(
-        table, FiniteSubgroup.from_json_obj(payload["group"])))
+        table, build_group(GroupSpec.parse(table["spec"]))))
     adj = cartan.adjacency
     leaves = [v for v, d in enumerate(cartan.delta)
               if d == 1 and v != cartan.trivial_vertex]
@@ -439,37 +437,9 @@ def _swapped_columns_1_and_2(payload):
         row[1], row[2] = row[2], row[1]
 
 
-def _swapped_entries_in_mult_table_row_1(payload):
-    row = payload["group"]["mult_table"][1]
-    row[-2], row[-1] = row[-1], row[-2]
-
-
-def _true_for_one_in_group(payload):
-    group = payload["group"]
-    group["mult_table"] = [[True if x == 1 else x for x in row]
-                           for row in group["mult_table"]]
-
-
-def _upper_right_set_to_upper_left(payload):
-    """Every non-identity first row (a, b) becomes (a, a), no unit vector."""
-    for element in payload["group"]["elements"][1:]:
-        element[1] = element[0]
-
-
-def _lower_left_set_to_one(payload):
-    """On cyclic:5 each non-identity element is diag(z, conj z); a lower-left
-    entry of 1 keeps its determinant 1 but is not -conj b = 0."""
-    for element in payload["group"]["elements"][1:]:
-        element[2] = {"N": 1, "terms": [[0, "1"]]}
-
-
 @pytest.mark.parametrize("command,spec,damage", [
     ("chartab", "cyclic:3", _swapped_columns_1_and_2),
     ("chartab", "cyclic:5", _swapped_columns_1_and_2),
-    ("group", "cyclic:4", _swapped_entries_in_mult_table_row_1),
-    ("group", "cyclic:4", _true_for_one_in_group),
-    ("group", "cyclic:5", _upper_right_set_to_upper_left),
-    ("group", "cyclic:5", _lower_left_set_to_one),
 ])
 def test_cache_entries_that_disagree_with_their_group_are_recomputed(
         capsys, command, spec, damage):
@@ -487,6 +457,66 @@ def test_cached_columns_swapped_against_the_power_map_are_recomputed(capsys, spe
     _assert_damaged_entry_is_recomputed(capsys, "chartab", spec, swap_columns)
 
 
+def test_a_warm_run_reads_no_group(capsys, monkeypatch):
+    from mckay.groups import FiniteSubgroup
+    code, fresh, _ = invoke(capsys, "group", "cyclic:5", "--no-cache")
+    assert code == 0
+    assert invoke(capsys, "group", "cyclic:5")[0] == 0
+
+    def refuse(obj):
+        raise AssertionError("FiniteSubgroup.from_json_obj called")
+    monkeypatch.setattr(FiniteSubgroup, "from_json_obj", staticmethod(refuse))
+    assert invoke(capsys, "group", "cyclic:5") == (0, fresh, "")
+
+
+def _matrices_off_the_table(group):
+    """b times zeta_8 in every element whose a is 0, and the second row
+    rewritten to match: unit first rows in the canonical element order
+    that no longer multiply as the stored table says."""
+    from mckay.cyclotomic import CycNumber, root_of_unity
+    for element in group["elements"]:
+        a, b = (CycNumber.from_json_obj(x) for x in element[:2])
+        if a.is_zero():
+            b = b * root_of_unity(8)
+            element[1:3] = [b.to_json_obj(), (-b.conj()).to_json_obj()]
+
+
+def test_a_group_stored_beside_the_table_is_never_printed(capsys):
+    from mckay.groups import GroupSpec, build_group
+    code, fresh, _ = invoke(capsys, "group", "binary-dihedral:2", "--no-cache")
+    assert code == 0
+    assert invoke(capsys, "group", "binary-dihedral:2")[0] == 0
+    path = cache.entry_path("binary-dihedral:2")
+    entry = json.loads(path.read_text())
+    group = build_group(GroupSpec.parse("binary-dihedral:2")).to_json_obj()
+    _matrices_off_the_table(group)
+    assert json.dumps(group, indent=2) + "\n" != fresh
+    entry["payload"]["group"] = group
+    path.write_text(json.dumps(entry, separators=(",", ":")))
+    assert invoke(capsys, "group", "binary-dihedral:2") == (0, fresh, "")
+
+
+def test_an_entry_that_holds_a_group_is_a_miss_and_is_rewritten(capsys, monkeypatch):
+    """Format 2 stored the group beside the table."""
+    from mckay.chartab import CharacterTable
+    from mckay.groups import GroupSpec, build_group
+    code, fresh, _ = invoke(capsys, "group", "cyclic:5", "--no-cache")
+    assert code == 0
+    group = build_group(GroupSpec.parse("cyclic:5")).to_json_obj()
+    path = cache.entry_path("cyclic:5")
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"format_version": 2, "key": "cyclic:5",
+                                "payload": {"group": group, **_fresh_payload("cyclic:5")}}))
+
+    def refuse(obj, group):
+        raise AssertionError("the entry was read")
+    monkeypatch.setattr(CharacterTable, "from_json_obj", staticmethod(refuse))
+    assert invoke(capsys, "group", "cyclic:5") == (0, fresh, "")
+    entry = json.loads(path.read_text())
+    assert entry["format_version"] == cache.FORMAT_VERSION == 3
+    assert entry["payload"] == _fresh_payload("cyclic:5")
+
+
 def _runaway_conductor(payload):
     payload["chartab"]["values"][1][1] = {"N": 10**9 + 7, "terms": [[10**9 + 6, "1"]]}
 
@@ -494,21 +524,6 @@ def _runaway_conductor(payload):
 def test_a_cached_runaway_conductor_is_recomputed(capsys):
     _assert_damaged_entry_is_recomputed(capsys, "chartab", "cyclic:3",
                                         _runaway_conductor)
-
-
-def _element_respelled_off_the_canonical_basis(payload):
-    """zeta_8^e c = zeta_8^(e+4) (-c): the same value, on a term outside
-    the canonical basis {1, zeta_8, zeta_8^2, zeta_8^3}.  The last element
-    is respelled, where the element order alone does not notice it."""
-    value = next(x for g in reversed(payload["group"]["elements"]) for x in g
-                 if x["N"] == 8)
-    e, c = value["terms"][0]
-    value["terms"][0] = [e + 4, c[1:] if c.startswith("-") else "-" + c]
-
-
-def test_a_cached_element_off_the_canonical_basis_is_recomputed(capsys):
-    _assert_damaged_entry_is_recomputed(capsys, "group", "binary-octahedral",
-                                        _element_respelled_off_the_canonical_basis)
 
 
 def _integer_leaves(node, path=()):
@@ -533,7 +548,6 @@ def test_integers_respelled_in_an_entry_are_recomputed(capsys):
     good = path.read_text()
     entry = json.loads(good)
     leaves = list(_integer_leaves(entry["payload"], ("payload",)))
-    assert ("payload", "group", "elements", 1, 0, "N") in leaves
     assert ("payload", "chartab", "values", 1, 1, "N") in leaves
     for *keys, last in leaves:
         node = entry

@@ -200,6 +200,32 @@ def _runaway_conductor(obj):
     obj["elements"][1][0] = {"N": 10**9 + 7, "terms": [[10**9 + 6, "1"]]}
 
 
+def _upper_right_set_to_upper_left(obj):
+    """Every non-identity first row (a, b) becomes (a, a), no unit vector."""
+    for element in obj["elements"][1:]:
+        element[1] = element[0]
+
+
+def _lower_left_set_to_one(obj):
+    """Every non-identity lower-left entry set to 1, which is -conj b
+    only where b = -1."""
+    for element in obj["elements"][1:]:
+        element[2] = {"N": 1, "terms": [[0, "1"]]}
+
+
+def _true_for_one_in_mult_table(obj):
+    obj["mult_table"] = [[True if x == 1 else x for x in row] for row in obj["mult_table"]]
+
+
+def _element_respelled_off_the_canonical_basis(obj):
+    """zeta_4^e c = zeta_4^(e+2) (-c): the same value, on a term outside
+    the canonical basis {1, zeta_4}.  The last element is respelled,
+    where the element order alone does not notice it."""
+    value = next(x for g in reversed(obj["elements"]) for x in g if x["N"] == 4)
+    e, c = value["terms"][0]
+    value["terms"][0] = [e + 2, c[1:] if c.startswith("-") else "-" + c]
+
+
 @pytest.mark.parametrize("damage,error", [
     (lambda obj: obj.update(inverses=[True if x == 1 else x
                                       for x in obj["inverses"]]), "JSON integers"),
@@ -208,6 +234,10 @@ def _runaway_conductor(obj):
     (lambda obj: _swap(obj["elements"], 2, 3), "elements, orders"),
     (lambda obj: _swap(obj["classes"], 3, 4), "classes"),
     (_runaway_conductor, "conductor 1000000007 does not divide the group order 8"),
+    (_upper_right_set_to_upper_left, "not a unit first row"),
+    (_lower_left_set_to_one, "elements, orders"),
+    (_true_for_one_in_mult_table, "JSON integers"),
+    (_element_respelled_off_the_canonical_basis, "elements, orders"),
 ])
 def test_damaged_group_json_is_refused(damage, error):
     from mckay.groups import FiniteSubgroup
