@@ -3,7 +3,8 @@
 One compact JSON file per group spec under the cache directory (the
 MCKAY_CACHE environment variable, or a per-user cache directory).
 Entries are {format_version, key, payload}; a stale format version or
-mismatched key is treated as a miss.  Writes are atomic.
+mismatched key is treated as a miss, and the next store overwrites it,
+since the file name does not carry the version.  Writes are atomic.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def cache_dir() -> Path:
 
 def entry_path(key: str) -> Path:
     safe = key.replace(":", "-")
-    return cache_dir() / f"{safe}.v{FORMAT_VERSION}.json"
+    return cache_dir() / f"{safe}.json"
 
 
 def load(key: str) -> dict | None:

@@ -6,8 +6,9 @@ with multiplicity m(v).  Two independent algorithms are provided:
 
   * freudenthal: the Freudenthal recursion, with non-dominant weights
     handled by reflecting to a smaller drop (multiplicities are Weyl
-    invariant).  It carries the weight's pairing with the coroots along
-    each row instead of recomputing it per drop;
+    invariant).  It walks only the weights of the module, and steps
+    the weight's pairing with the coroots from each drop to the next
+    instead of recomputing it;
   * weylkac_oracle: a truncated series evaluation of the character as
     the quotient of two alternating sums over affine Weyl orbits, that
     of w + rho by that of rho.  By Kac's denominator identity the
@@ -19,11 +20,12 @@ Both run over one finite window of drop vectors: either all v of height
 at most D, or all v componentwise below a cap (the cap form reaches
 the imaginary root of the big exceptional types cheaply, since the box
 below delta is small while the height simplex is astronomically big).
-Freudenthal walks the window row by row, a row fixing every coordinate
-but the last, in lex order; that order puts every u < v componentwise
-before v, which is all its recursion needs.  A window of more than
-WINDOW_BUDGET vectors is refused up front.  All arithmetic is exact
-integers.
+Freudenthal walks the window height by height from v = 0, and only
+through the weights of the module: L(w) = U(n-) v_w, so each v != 0
+with m(v) != 0 has some m(v - e_i) != 0, and the drops tried at height
+h + 1 are the v + e_i in the window over the v at height h with
+m(v) != 0.  A window of more than WINDOW_BUDGET vectors is refused up
+front.  All arithmetic is exact integers.
 
 The symmetric form is fixed by (Lambda_i, alpha_j) = delta_ij and
 (alpha_i, alpha_j) = C_ij, with rho = sum Lambda_i; positive affine
@@ -33,9 +35,8 @@ the imaginary multiples of delta carrying multiplicity rank.
 
 from __future__ import annotations
 
-import itertools
 import math
-from operator import le, mul, sub
+from operator import le, sub
 
 from .cyclotomic import CycNumber
 from .errors import InvariantError
@@ -92,10 +93,10 @@ def _check_framing(w, cd: CartanData) -> tuple[int, ...]:
 
 class _Window:
     """A downward-closed set of drop vectors v >= 0: a simplex
-    (sum(v) <= depth) or a box (v <= cap componentwise).  rows() lays it
-    out in lex order, the order Freudenthal's recursion walks.  Besides
-    member, size and rows, only the Weyl-Kac core looks at which of the
-    two it is, and it reads a simplex as a box of height depth."""
+    (sum(v) <= depth) or a box (v <= cap componentwise).  Freudenthal
+    asks it only member; besides member and size, only the Weyl-Kac
+    core looks at which of the two it is, and it reads a simplex as a
+    box of height depth."""
 
     def __init__(self, n: int, depth: int | None = None,
                  cap: tuple[int, ...] | None = None):
@@ -132,21 +133,6 @@ class _Window:
             return math.comb(self.n + self.depth, self.n)
         return math.prod(c + 1 for c in self.cap)
 
-    def rows(self):
-        """(prefix, run) in lex order of the prefix over the first n - 1
-        coordinates; the row holds prefix + (k,) for 0 <= k < run."""
-        if self.cap is not None:
-            run = self.cap[-1] + 1
-            return ((prefix, run) for prefix in itertools.product(
-                *(range(c + 1) for c in self.cap[:-1])))
-        prefixes = [((), 0)]
-        for _ in range(self.n - 1):
-            prefixes = [(prefix + (k,), height + k)
-                        for prefix, height in prefixes
-                        for k in range(self.depth - height + 1)]
-        return ((prefix, self.depth - height + 1)
-                for prefix, height in prefixes)
-
 
 def _window_roots(cd: CartanData, window: _Window
                   ) -> list[tuple[tuple[int, ...], int]]:
@@ -176,13 +162,12 @@ def _sparse_rows(cartan) -> list[list[tuple[int, int]]]:
 
 def _freudenthal_core(w: tuple[int, ...], cd: CartanData, window: _Window
                       ) -> dict[tuple[int, ...], int]:
-    """The recursion over window.rows(), whose lex order puts every
-    u < v componentwise before v: each v - k beta and each reflected
-    drop is final when it is read.  pair = w - C v, the weight's
-    pairing with the simple coroots, is set once per row and stepped
-    by the last Cartan column along it."""
-    head = [row[:-1] for row in cd.cartan]
-    last = [(i, row[-1]) for i, row in enumerate(cd.cartan) if row[-1]]
+    """The recursion over a frontier, one height at a time: each
+    v - k beta and each reflected drop lies lower, so it is final when
+    it is read.  pair = w - C v, the weight's pairing with the simple
+    coroots, is stepped from the parent's by a Cartan column (C is
+    symmetric, so column i is row i)."""
+    rows = _sparse_rows(cd.cartan)
     # C is symmetric, so (beta, weight at u) = beta . pair(u), and the
     # step u -> u - beta raises it by (beta, beta)
     root_data = [(beta, mult, [(i, b) for i, b in enumerate(beta) if b],
@@ -190,13 +175,10 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, window: _Window
                       for j, c in enumerate(row)))
                  for beta, mult in _window_roots(cd, window)]
     table: dict[tuple[int, ...], int] = {}
-    for prefix, run in window.rows():
-        pair = [wi - sum(map(mul, row, prefix)) for wi, row in zip(w, head)]
-        for k in range(run):
-            if k:
-                for i, c in last:
-                    pair[i] -= c
-            v = prefix + (k,)
+    frontier = {(0,) * cd.vertex_count: list(w)}
+    while frontier:
+        following = {}
+        for v, pair in frontier.items():
             low = min(pair)
             if low < 0:
                 # multiplicities are Weyl invariant: reflect in a wall
@@ -204,38 +186,44 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, window: _Window
                 i = pair.index(low)
                 moved = list(v)
                 moved[i] += low
-                if moved[i] >= 0:
-                    value = table.get(tuple(moved))
-                    if value:
-                        table[v] = value
+                value = table.get(tuple(moved), 0) if moved[i] >= 0 else 0
+            elif not any(v):
+                value = 1
+            else:
+                denominator = sum(a * (wi + 2 + p)
+                                  for a, wi, p in zip(v, w, pair))
+                if denominator <= 0:
+                    raise InvariantError(
+                        f"Freudenthal denominator {denominator} at dominant "
+                        f"v={v}; bookkeeping is corrupt")
+                rhs = 0
+                for beta, mult, support, norm in root_data:
+                    steps = min(v[i] // b for i, b in support)
+                    term = sum(b * pair[i] for i, b in support)
+                    u = v
+                    for _ in range(steps):
+                        u = tuple(map(sub, u, beta))
+                        term += norm
+                        m_u = table.get(u)
+                        if m_u:
+                            rhs += mult * m_u * term
+                rhs *= 2
+                if rhs % denominator:
+                    raise InvariantError(f"non-integral multiplicity at v={v}")
+                value = rhs // denominator
+                if value < 0:
+                    raise InvariantError(f"negative multiplicity at v={v}")
+            if not value:
                 continue
-            if not any(v):
-                table[v] = 1
-                continue
-            denominator = sum(a * (wi + 2 + p) for a, wi, p in zip(v, w, pair))
-            if denominator <= 0:
-                raise InvariantError(
-                    f"Freudenthal denominator {denominator} at dominant "
-                    f"v={v}; bookkeeping is corrupt")
-            rhs = 0
-            for beta, mult, support, norm in root_data:
-                steps = min(v[i] // b for i, b in support)
-                term = sum(b * pair[i] for i, b in support)
-                u = v
-                for _ in range(steps):
-                    u = tuple(map(sub, u, beta))
-                    term += norm
-                    m_u = table.get(u)
-                    if m_u:
-                        rhs += mult * m_u * term
-            rhs *= 2
-            if rhs % denominator:
-                raise InvariantError(f"non-integral multiplicity at v={v}")
-            value = rhs // denominator
-            if value < 0:
-                raise InvariantError(f"negative multiplicity at v={v}")
-            if value:
-                table[v] = value
+            table[v] = value
+            for i, row in enumerate(rows):
+                u = v[:i] + (v[i] + 1,) + v[i + 1:]
+                if u not in following and window.member(u):
+                    stepped = pair[:]
+                    for j, c in row:
+                        stepped[j] -= c
+                    following[u] = stepped
+        frontier = following
     return table
 
 

@@ -101,6 +101,7 @@ def partitions(m: int) -> list[tuple[int, ...]]:
             rec(prefix + (part,), remaining - part, part)
 
     rec((), m, m)
+    del rec  # rec reaches itself through its closure, a cycle holding out
     return out
 
 
@@ -188,6 +189,7 @@ def _bounded_vectors(weights: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
             rec(prefix + (value,), remaining - value * weights[pos], pos + 1)
 
     rec((), n, 0)
+    del rec  # as in partitions
     return out
 
 

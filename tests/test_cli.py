@@ -517,6 +517,26 @@ def test_an_entry_that_holds_a_group_is_a_miss_and_is_rewritten(capsys, monkeypa
     assert entry["payload"] == _fresh_payload("cyclic:5")
 
 
+def test_an_entry_of_another_version_is_overwritten_in_place(capsys, monkeypatch):
+    """The file name carries no format version, so an entry of another
+    version is a miss that the next store replaces, not a file left
+    behind."""
+    code, fresh, _ = invoke(capsys, "quiver", "cyclic:3", "--no-cache")
+    assert code == 0
+    path = cache.entry_path("cyclic:3")
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"format_version": 2, "key": "cyclic:3",
+                                "payload": _fresh_payload("cyclic:3")}))
+    assert invoke(capsys, "quiver", "cyclic:3") == (0, fresh, "")
+    assert list(path.parent.iterdir()) == [path]
+    assert json.loads(path.read_text())["format_version"] == cache.FORMAT_VERSION
+    # the same holds for today's entry once the format moves on
+    monkeypatch.setattr(cache, "FORMAT_VERSION", cache.FORMAT_VERSION + 1)
+    assert invoke(capsys, "quiver", "cyclic:3") == (0, fresh, "")
+    assert list(path.parent.iterdir()) == [path]
+    assert json.loads(path.read_text())["format_version"] == cache.FORMAT_VERSION
+
+
 def _runaway_conductor(payload):
     payload["chartab"]["values"][1][1] = {"N": 10**9 + 7, "terms": [[10**9 + 6, "1"]]}
 

@@ -91,24 +91,29 @@ def test_box_windows_agree_with_each_other_and_with_the_simplex():
         assert overlap == box_f.entries
 
 
-def _laid_out(window):
-    return [prefix + (k,) for prefix, run in window.rows() for k in range(run)]
+@pytest.mark.parametrize("text,depth", [
+    ("cyclic:2", 12), ("binary-dihedral:2", 8), ("binary-tetrahedral", 8),
+    ("binary-icosahedral", None)])
+def test_every_nonzero_drop_has_a_nonzero_predecessor(text, depth):
+    # L(w) = U(n-) v_w, the fact Freudenthal's frontier walks on, read
+    # off the Weyl-Kac tables; None is the box below delta
+    _, _, cd = pipeline(text)
+    w = lambda_0(cd)
+    table = (weylkac_box(w, cd, cd.delta) if depth is None
+             else weylkac_oracle(w, cd, depth))
+    assert len(table.entries) > 1
+    for v in table.entries:
+        if any(v):
+            assert any(table.multiplicity(v[:i] + (v[i] - 1,) + v[i + 1:])
+                       for i in range(len(v)) if v[i]), v
 
 
-@pytest.mark.parametrize("window", [
-    _Window.simplex(4, 5), _Window.simplex(2, 0),
-    _Window.box(5, (0, 2, 1, 0, 2)), _Window.box(3, (2, 0, 3)),
-    _Window.box(4, (1, 2, 2, 1))])
-def test_rows_put_every_predecessor_first(window):
-    order = _laid_out(window)
-    assert len(order) == len(set(order)) == window.size
-    position = {v: k for k, v in enumerate(order)}
-    for v, k in position.items():
-        assert window.member(v)
-        for i in range(window.n):
-            u = v[:i] + (v[i] - 1,) + v[i + 1:]
-            if window.member(u):
-                assert position[u] < k, (u, v)
+def test_the_deepest_e8_window_the_cli_accepts():
+    _, _, cd = pipeline("binary-icosahedral")
+    table = freudenthal(lambda_0(cd), cd, 14)
+    assert table == weylkac_oracle(lambda_0(cd), cd, 14)
+    with pytest.raises(ValueError, match="budget"):
+        freudenthal(lambda_0(cd), cd, 15)
 
 
 @pytest.mark.parametrize("text,depth", [

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -14,6 +15,19 @@ from conftest import pipeline
 def test_partitions_reverse_lexicographic():
     assert partitions(0) == [()]
     assert partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+def test_listings_leave_no_reference_cycles():
+    # garbage in a cycle waits for a full collection, so the memory of
+    # repeated listings would climb until one runs
+    _, _, cd = pipeline("binary-tetrahedral")
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_strata(12, (1,) * cd.vertex_count, cd)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_stratum_label_validation():
