@@ -16,16 +16,18 @@ with multiplicity m(v).  Two independent algorithms are provided:
     The quotient is pushed through the window by height, and only its
     nonzero entries do any work.
 
-Both run over one finite window of drop vectors: either all v of height
-at most D, or all v componentwise below a cap (the cap form reaches
-the imaginary root of the big exceptional types cheaply, since the box
-below delta is small while the height simplex is astronomically big).
-Freudenthal walks the window height by height from v = 0, and only
-through the weights of the module: L(w) = U(n-) v_w, so each v != 0
-with m(v) != 0 has some m(v - e_i) != 0, and the drops tried at height
-h + 1 are the v + e_i in the window over the v at height h with
-m(v) != 0.  A window of more than WINDOW_BUDGET vectors is refused up
-front.  All arithmetic is exact integers.
+Both run over one finite window of drop vectors, a cap and a height
+bound: all v <= cap componentwise with sum(v) <= depth.  A height
+window of depth D is the cap (D, ..., D) with depth D; a box is its own
+cap with depth sum(cap), and reaches the imaginary root of the big
+exceptional types cheaply, where the height simplex is astronomically
+big.  One bound implies the other, so a window holds min(C(n + depth,
+n), prod(cap_i + 1)) vectors; one of more than WINDOW_BUDGET is refused
+up front.  Freudenthal walks the window height by height from v = 0,
+and only through the weights of the module: L(w) = U(n-) v_w, so each
+v != 0 with m(v) != 0 has some m(v - e_i) != 0, and the drops tried at
+height h + 1 are the v + e_i in the window over the v at height h with
+m(v) != 0.  All arithmetic is exact integers.
 
 The symmetric form is fixed by (Lambda_i, alpha_j) = delta_ij and
 (alpha_i, alpha_j) = C_ij, with rho = sum Lambda_i; positive affine
@@ -91,67 +93,27 @@ def _check_framing(w, cd: CartanData) -> tuple[int, ...]:
     return w
 
 
-class _Window:
-    """A downward-closed set of drop vectors v >= 0: a simplex
-    (sum(v) <= depth) or a box (v <= cap componentwise).  Freudenthal
-    asks it only member; besides member and size, only the Weyl-Kac
-    core looks at which of the two it is, and it reads a simplex as a
-    box of height depth."""
-
-    def __init__(self, n: int, depth: int | None = None,
-                 cap: tuple[int, ...] | None = None):
-        self.n, self.depth, self.cap = n, depth, cap
-        if self.size > WINDOW_BUDGET:
-            raise ValueError(f"the window holds {self.size} drop vectors, "
-                             f"more than the budget of {WINDOW_BUDGET}")
-
-    @classmethod
-    def simplex(cls, n: int, depth: int) -> _Window:
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        return cls(n, depth=depth)
-
-    @classmethod
-    def box(cls, n: int, cap) -> _Window:
-        cap = tuple(cap)
-        if len(cap) != n:
-            raise ValueError(f"cap must have {n} entries, got {len(cap)}")
-        if any(c < 0 for c in cap):
-            raise ValueError("cap entries must be nonnegative")
-        return cls(n, cap=cap)
-
-    def member(self, v) -> bool:
-        if min(v) < 0:
-            return False
-        if self.cap is None:
-            return sum(v) <= self.depth
-        return all(map(le, v, self.cap))
-
-    @property
-    def size(self) -> int:
-        if self.cap is None:
-            return math.comb(self.n + self.depth, self.n)
-        return math.prod(c + 1 for c in self.cap)
-
-
-def _window_roots(cd: CartanData, window: _Window
+def _window_roots(cd: CartanData, cap: tuple[int, ...], depth: int
                   ) -> list[tuple[tuple[int, ...], int]]:
     """Positive affine roots inside the window with their
     multiplicities, sorted by height.  Each root s delta, s delta +- beta
     dominates (s - 1) delta, so the shifts stop at the first multiple of
     delta outside the window."""
+    def inside(v):
+        return all(map(le, v, cap)) and sum(v) <= depth
+
     delta = cd.delta
     finite = [unrestrict(cd, beta, 0) for beta in root_system_for(cd).positive]
     candidates = [(beta, 1) for beta in finite]
     shift = 1
-    while window.member(tuple((shift - 1) * d for d in delta)):
+    while inside(tuple((shift - 1) * d for d in delta)):
         base = tuple(shift * d for d in delta)
         candidates.append((base, cd.rank))
         for beta in finite:
             candidates.append((tuple(b + x for b, x in zip(base, beta)), 1))
             candidates.append((tuple(b - x for b, x in zip(base, beta)), 1))
         shift += 1
-    roots = [(vec, mult) for vec, mult in candidates if window.member(vec)]
+    roots = [(vec, mult) for vec, mult in candidates if inside(vec)]
     roots.sort(key=lambda item: (sum(item[0]), item[0]))
     return roots
 
@@ -160,8 +122,8 @@ def _sparse_rows(cartan) -> list[list[tuple[int, int]]]:
     return [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
 
 
-def _freudenthal_core(w: tuple[int, ...], cd: CartanData, window: _Window
-                      ) -> dict[tuple[int, ...], int]:
+def _freudenthal_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
+                      depth: int) -> dict[tuple[int, ...], int]:
     """The recursion over a frontier, one height at a time: each
     v - k beta and each reflected drop lies lower, so it is final when
     it is read.  pair = w - C v, the weight's pairing with the simple
@@ -173,9 +135,10 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, window: _Window
     root_data = [(beta, mult, [(i, b) for i, b in enumerate(beta) if b],
                   sum(beta[i] * c * beta[j] for i, row in enumerate(cd.cartan)
                       for j, c in enumerate(row)))
-                 for beta, mult in _window_roots(cd, window)]
+                 for beta, mult in _window_roots(cd, cap, depth)]
     table: dict[tuple[int, ...], int] = {}
     frontier = {(0,) * cd.vertex_count: list(w)}
+    height = 0
     while frontier:
         following = {}
         for v, pair in frontier.items():
@@ -217,18 +180,20 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, window: _Window
                 continue
             table[v] = value
             for i, row in enumerate(rows):
+                if height == depth or v[i] == cap[i]:
+                    continue
                 u = v[:i] + (v[i] + 1,) + v[i + 1:]
-                if u not in following and window.member(u):
+                if u not in following:
                     stepped = pair[:]
                     for j, c in row:
                         stepped[j] -= c
                     following[u] = stepped
-        frontier = following
+        frontier, height = following, height + 1
     return table
 
 
-def _numerator_signs(w: tuple[int, ...], cd: CartanData,
-                     member) -> dict[tuple[int, ...], int]:
+def _numerator_signs(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
+                     depth: int) -> dict[tuple[int, ...], int]:
     """Alternating sum over the affine Weyl orbit of w + rho, recorded
     by the drop of the orbit point below w + rho.  Drops grow
     monotonically along geodesics from the identity, so pruning to the
@@ -236,44 +201,38 @@ def _numerator_signs(w: tuple[int, ...], cd: CartanData,
     rows = _sparse_rows(cd.cartan)
     zero = (0,) * cd.vertex_count
     signs: dict[tuple[int, ...], int] = {zero: 1}
-    # each drop with its pairing w + rho - C drop with the simple coroots
-    queue = [(zero, [x + 1 for x in w])]
+    # a drop, its height and its pairing w + rho - C drop with the coroots
+    queue = [(zero, 0, [x + 1 for x in w])]
     while queue:
-        drop, pairing = queue.pop()
+        drop, height, pairing = queue.pop()
         sign = -signs[drop]
         for i, p in enumerate(pairing):
-            if p < 0:
-                continue  # s_i lowers the drop, back towards the identity
+            if p < 0 or drop[i] + p > cap[i] or height + p > depth:
+                continue  # s_i lowers the drop or leaves the window
             candidate = drop[:i] + (drop[i] + p,) + drop[i + 1:]
-            if candidate not in signs and member(candidate):
+            if candidate not in signs:
                 signs[candidate] = sign
                 moved = pairing[:]
                 for j, c in rows[i]:
                     moved[j] -= c * p
-                queue.append((candidate, moved))
+                queue.append((candidate, height + p, moved))
     return signs
 
 
-def _weylkac_core(w: tuple[int, ...], cd: CartanData, window: _Window
-                  ) -> dict[tuple[int, ...], int]:
+def _weylkac_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
+                  depth: int) -> dict[tuple[int, ...], int]:
     """The character as the quotient N_w / N_0 of two numerators: by
     Kac's denominator identity N_0 is the product of (1 - e^-beta)^mult
     over the positive roots.  The quotient is pushed height by height:
     an entry at v is final when its height comes up, and it then
     subtracts its value times N_0[d] at every v + d in the window.
 
-    A simplex is the box with every cap at its depth, and a box has
-    depth sum(cap).  A drop is packed into one int, field i holding
-    v_i + bias_i in b_i + 1 bits, where b_i = cap_i.bit_length() and
+    A drop is packed into one int, field i holding v_i + bias_i in
+    b_i + 1 bits, where b_i = cap_i.bit_length() and
     bias_i = 2^b_i - 1 - cap_i.  A sum v_i + d_i <= 2 cap_i never
     carries out of its field, and it sets the field's top bit exactly
     when it is above cap_i."""
     n = cd.vertex_count
-    cap, depth = window.cap, window.depth
-    if cap is None:
-        cap = (depth,) * n
-    else:
-        depth = sum(cap)
     fields, bias, high, shift = [], 0, 0, 0
     for c in cap:
         bits = c.bit_length()
@@ -287,11 +246,11 @@ def _weylkac_core(w: tuple[int, ...], cd: CartanData, window: _Window
 
     # N_0 without its origin term, by height, each term negated
     denominator = [[] for _ in range(depth + 1)]
-    for d, sign in _numerator_signs((0,) * n, cd, window.member).items():
+    for d, sign in _numerator_signs((0,) * n, cd, cap, depth).items():
         if any(d):
             denominator[sum(d)].append((pack(d), -sign))
     buckets = [{} for _ in range(depth + 1)]
-    for v, sign in _numerator_signs(w, cd, window.member).items():
+    for v, sign in _numerator_signs(w, cd, cap, depth).items():
         buckets[sum(v)][pack(v) + bias] = sign
 
     table = {}
@@ -315,32 +274,51 @@ def _weylkac_core(w: tuple[int, ...], cd: CartanData, window: _Window
     return table
 
 
-def _table(core, w, cd: CartanData, window: _Window) -> MultiplicityTable:
+def _table(core, w, cd: CartanData, depth, cap) -> MultiplicityTable:
+    """core over the window named by a depth or a cap (the other None),
+    as the pair (cap, depth): D gives ((D, ..., D), D), a cap (cap,
+    sum(cap)).  No entry exceeds the height, and no height exceeds the
+    sum of the caps, so each window is its simplex and its box at once,
+    and the smaller of the two counts is its size."""
+    n = cd.vertex_count
+    if cap is None:
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        bound, height = (depth,) * n, depth
+    else:
+        cap = tuple(cap)
+        if len(cap) != n:
+            raise ValueError(f"cap must have {n} entries, got {len(cap)}")
+        if any(c < 0 for c in cap):
+            raise ValueError("cap entries must be nonnegative")
+        bound, height = cap, sum(cap)
+    size = min(math.comb(n + height, n), math.prod(c + 1 for c in bound))
+    if size > WINDOW_BUDGET:
+        raise ValueError(f"the window holds {size} drop vectors, "
+                         f"more than the budget of {WINDOW_BUDGET}")
     w = _check_framing(w, cd)
-    entries = core(w, cd, window)
-    return MultiplicityTable(framing=w, depth=window.depth, cap=window.cap,
-                             entries=entries)
+    return MultiplicityTable(framing=w, depth=depth, cap=cap,
+                             entries=core(w, cd, bound, height))
 
 
 def freudenthal(w, cd: CartanData, depth: int) -> MultiplicityTable:
     """Multiplicities for all drops of height <= depth."""
-    return _table(_freudenthal_core, w, cd,
-                  _Window.simplex(cd.vertex_count, depth))
+    return _table(_freudenthal_core, w, cd, depth, None)
 
 
 def freudenthal_box(w, cd: CartanData, cap) -> MultiplicityTable:
     """Multiplicities for all drops componentwise below cap."""
-    return _table(_freudenthal_core, w, cd, _Window.box(cd.vertex_count, cap))
+    return _table(_freudenthal_core, w, cd, None, cap)
 
 
 def weylkac_oracle(w, cd: CartanData, depth: int) -> MultiplicityTable:
     """Same table as freudenthal, by the truncated character series."""
-    return _table(_weylkac_core, w, cd, _Window.simplex(cd.vertex_count, depth))
+    return _table(_weylkac_core, w, cd, depth, None)
 
 
 def weylkac_box(w, cd: CartanData, cap) -> MultiplicityTable:
     """Same table as freudenthal_box, by the truncated character series."""
-    return _table(_weylkac_core, w, cd, _Window.box(cd.vertex_count, cap))
+    return _table(_weylkac_core, w, cd, None, cap)
 
 
 class DrinfeldData(Record):

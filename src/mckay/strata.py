@@ -92,17 +92,25 @@ def partitions(m: int) -> list[tuple[int, ...]]:
     if m < 0:
         raise ValueError("cannot partition a negative integer")
     out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, largest: int) -> None:
+    # depth first, the largest next part popped first
+    stack = [((), m, m)]
+    while stack:
+        prefix, remaining, largest = stack.pop()
         if remaining == 0:
             out.append(prefix)
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            rec(prefix + (part,), remaining - part, part)
-
-    rec((), m, m)
-    del rec  # rec reaches itself through its closure, a cycle holding out
+        for part in range(1, min(remaining, largest) + 1):
+            stack.append((prefix + (part,), remaining - part, part))
     return out
+
+
+def _coin_change(coins, top: int) -> list[int]:
+    """ways[u] for u = 0 .. top: the number of multisets of coins that
+    sum to u; with the coins 1 .. top it is the partition count p(u)."""
+    ways = [1] + [0] * top
+    for d in coins:
+        for u in range(d, top + 1):
+            ways[u] += ways[u - d]
+    return ways
 
 
 STRATA_BUDGET = 1_000_000  # most v0 vectors plus labels one call may list
@@ -171,25 +179,22 @@ def _bounded_vectors(weights: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     top = 1
     while True:
         top = min(top, n)
-        ways = [1] + [0] * top
-        for d in weights:
-            for u in range(d, top + 1):
-                ways[u] += ways[u - d]
+        ways = _coin_change(weights, top)
         if top == n or sum(ways) > STRATA_BUDGET:
             break
         top *= 2
     _refuse_over_budget(n, sum(ways), top < n)
     out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, pos: int) -> None:
-        if pos == len(weights):
+    # depth first, the smallest next entry popped first
+    stack = [((), n)]
+    while stack:
+        prefix, remaining = stack.pop()
+        if len(prefix) == len(weights):
             out.append(prefix)
-            return
-        for value in range(remaining // weights[pos] + 1):
-            rec(prefix + (value,), remaining - value * weights[pos], pos + 1)
-
-    rec((), n, 0)
-    del rec  # as in partitions
+            continue
+        d = weights[len(prefix)]
+        for value in range(remaining // d, -1, -1):
+            stack.append((prefix + (value,), remaining - value * d))
     return out
 
 
@@ -204,10 +209,7 @@ def _list_strata(n: int, v0s: list[tuple[int, ...]], w: tuple[int, ...],
     kept = [(v0, sum(a * d for a, d in zip(v0, cd.delta))) for v0 in v0s
             if transported_framing(w, v0, cd) is not None]
     cut = min(n // order, _PARTITION_CUT)
-    p = [1] + [0] * cut
-    for part in range(1, cut + 1):
-        for m in range(part, cut + 1):
-            p[m] += p[m - part]
+    p = _coin_change(range(1, cut + 1), cut)
     labels_up_to = list(itertools.accumulate(p))
     count = len(v0s) + sum(labels_up_to[min((n - used) // order, cut)]
                            for _, used in kept)

@@ -1,10 +1,10 @@
-from operator import add
+from operator import add, le
 
 import pytest
 
 from mckay.cyclotomic import CycNumber, root_of_unity
 from mckay.errors import InvariantError
-from mckay.highest_weight import (MultiplicityTable, _numerator_signs, _Window,
+from mckay.highest_weight import (MultiplicityTable, _numerator_signs,
                                   _window_roots, drinfeld_polynomials,
                                   freudenthal, freudenthal_box, weylkac_box,
                                   weylkac_oracle)
@@ -91,6 +91,32 @@ def test_box_windows_agree_with_each_other_and_with_the_simplex():
         assert overlap == box_f.entries
 
 
+@pytest.mark.parametrize("text,w,window,wider", [
+    # a box with a zero cap entry, and a height window of depth 4 that
+    # cuts the delta string (1, 0, 0), (2, 1, 1), (3, 2, 2) after (2, 1, 1)
+    ("binary-dihedral:2", (1, 1, 0, 0, 0), (2, 2, 1, 0, 2), (3, 3, 2, 1, 3)),
+    ("cyclic:3", (1, 0, 0), 4, 7)])
+def test_drops_on_the_window_edge_are_kept(text, w, window, wider):
+    _, _, cd = pipeline(text)
+    n = cd.vertex_count
+    if isinstance(window, int):
+        algorithms, cap, depth = (freudenthal, weylkac_oracle), (window,) * n, window
+    else:
+        algorithms, cap, depth = (freudenthal_box, weylkac_box), window, sum(window)
+    table, oracle = (algorithm(w, cd, window) for algorithm in algorithms)
+    assert table.entries == oracle.entries
+    for v in table.entries:
+        assert all(map(le, v, cap)) and sum(v) <= depth, v
+    # the edge drops are the ones a wider window holds inside this one
+    inside = {v: m for v, m in algorithms[0](w, cd, wider).entries.items()
+              if all(map(le, v, cap)) and sum(v) <= depth}
+    assert inside == table.entries
+    assert any(sum(v) == depth for v in table.entries)
+    if not isinstance(window, int):
+        for i, c in enumerate(cap):
+            assert any(v[i] == c for v in table.entries), i
+
+
 @pytest.mark.parametrize("text,depth", [
     ("cyclic:2", 12), ("binary-dihedral:2", 8), ("binary-tetrahedral", 8),
     ("binary-icosahedral", None)])
@@ -125,24 +151,24 @@ def test_denominator_identity_matches_the_root_multiplicities(text, depth):
     # roots; None is the box below delta
     _, _, cd = pipeline(text)
     n = cd.vertex_count
-    window = (_Window.box(n, cd.delta) if depth is None
-              else _Window.simplex(n, depth))
+    cap, depth = ((cd.delta, sum(cd.delta)) if depth is None
+                  else ((depth,) * n, depth))
     product = {(0,) * n: 1}
-    for beta, mult in _window_roots(cd, window):
+    for beta, mult in _window_roots(cd, cap, depth):
         for _ in range(mult):
             for v, c in list(product.items()):
                 u = tuple(map(add, v, beta))
-                if window.member(u):
+                if all(map(le, u, cap)) and sum(u) <= depth:
                     product[u] = product.get(u, 0) - c
             product = {v: c for v, c in product.items() if c}
-    assert _numerator_signs((0,) * n, cd, window.member) == product
+    assert _numerator_signs((0,) * n, cd, cap, depth) == product
 
 
 def _origin_scaled(monkeypatch, factor):
     """_numerator_signs with the origin term of every numerator but the
     denominator's multiplied by factor."""
-    def scaled(w, cd, member):
-        series = _numerator_signs(w, cd, member)
+    def scaled(w, cd, cap, depth):
+        series = _numerator_signs(w, cd, cap, depth)
         if any(w):
             series[(0,) * cd.vertex_count] *= factor
         return series
