@@ -11,6 +11,7 @@ the class budget, so such a spec reads no cache and builds no group.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -123,7 +124,13 @@ def _eigenvalue(num, den, n, k) -> CycNumber:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    """Indented JSON written while it is encoded, a few thousand tokens
+    per write: the whole text is never held, and an unbuffered stdout
+    (PYTHONUNBUFFERED) does not pay one write per token."""
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := list(itertools.islice(chunks, 4096)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 def _multiplicity_json(table) -> dict:

@@ -201,27 +201,26 @@ def _bounded_vectors(weights: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
 def _list_strata(n: int, v0s: list[tuple[int, ...]], w: tuple[int, ...],
                  cd: CartanData) -> list[StratumLabel]:
     """The labels of every v0 in v0s that passes the transported-framing
-    filter.  Refused first when the v0 vectors plus those labels are more
-    than STRATA_BUDGET: each v0 brings one label per partition of every
+    filter, ordered by (sum(v0_i delta_i), v0, -|lam|, lam).  Refused
+    first when the v0 vectors plus those labels are more than
+    STRATA_BUDGET: each v0 brings one label per partition of every
     m <= (n - sum(v0_i delta_i)) // |Gamma|.  Cutting m at _PARTITION_CUT
-    only lowers the count, and a cut count is already over the budget."""
+    only lowers the count, and a cut count is already over the budget;
+    v0 = 0 is always kept, so past the refusal no m is above the cut."""
     order = cd.group_order
-    kept = [(v0, sum(a * d for a, d in zip(v0, cd.delta))) for v0 in v0s
-            if transported_framing(w, v0, cd) is not None]
+    kept = sorted((sum(map(mul, v0, cd.delta)), v0) for v0 in v0s
+                  if transported_framing(w, v0, cd) is not None)
     cut = min(n // order, _PARTITION_CUT)
     p = _coin_change(range(1, cut + 1), cut)
     labels_up_to = list(itertools.accumulate(p))
     count = len(v0s) + sum(labels_up_to[min((n - used) // order, cut)]
-                           for _, used in kept)
+                           for used, _ in kept)
     _refuse_over_budget(n, count, cut < n // order)
-    labels = []
-    for v0, used in kept:
-        for m in range((n - used) // order, -1, -1):
-            for lam in partitions(m):
-                labels.append(StratumLabel(v0, lam, n - used - order * m))
-    labels.sort(key=lambda s: (sum(a * d for a, d in zip(s.v0, cd.delta)), s.v0,
-                               -sum(s.lam), s.lam))
-    return labels
+    ascending = [partitions(m)[::-1] for m in range(cut + 1)]
+    return [StratumLabel(v0, lam, n - used - order * m)
+            for used, v0 in kept
+            for m in range((n - used) // order, -1, -1)
+            for lam in ascending[m]]
 
 
 def enumerate_strata(n: int, w, cd: CartanData) -> list[StratumLabel]:

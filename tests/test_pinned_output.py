@@ -1,12 +1,15 @@
 """The JSON the CLI prints for `group`, `chartab` and `quiver`, pinned by
-sha256 on every small spec and on four specs with 30 to 60 classes.  Any
-change to elements, their order, the classes, the character values or
-the quiver changes a digest."""
+sha256 on every small spec and on four specs with 30 to 60 classes, and
+the `strata` stdout of three listings.  Any change to elements, their
+order, the classes, the character values, the quiver or the labels and
+their order changes a digest."""
 
 import hashlib
 import json
 
 import pytest
+
+from mckay.cli import run
 
 from conftest import pipeline
 
@@ -154,3 +157,24 @@ def test_group_json_is_pinned_at_scale(spec):
     group, _, _ = pipeline(spec)
     text = json.dumps(group.to_json_obj(), indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == SCALE_GROUP_DIGESTS[spec]
+
+
+# `strata` arguments: sha256 of its stdout
+STRATA_DIGESTS = {
+    # rank one, 28629 labels
+    "cyclic:2 --n 60":
+        "3ec19e63b9c5c8e6882ddb88c5952d8470a78e6a3a585940a0c2cc3d6b8469fd",
+    # 19246 labels
+    "cyclic:2 --n 40 --w 2,1":
+        "55a662715598198ca11f3a68591e651b5fd3bdb693d9c29ea398abd241a967c8",
+    # 376 labels over 132 v0, 124 of them sharing sum(v0_i delta_i) with another
+    "binary-dihedral:2 --n 30 --w 1,1,1,1,1":
+        "5e9a5d3fa4cc51b42db04f515991a10e8633e6902adb2b6f1aa7ae39af2207d0",
+}
+
+
+@pytest.mark.parametrize("args", STRATA_DIGESTS)
+def test_strata_stdout_is_pinned(args, capsys):
+    assert run(["strata", *args.split(), "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STRATA_DIGESTS[args]

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import mckay.strata as strata
 from mckay.strata import (FiberLabel, StratumLabel, cartan_apply,
                           enumerate_strata, enumerate_strata_rank1,
                           fiber_parts, partitions, transported_framing)
@@ -216,6 +217,23 @@ def test_strata_over_the_budget_are_refused():
     _, _, cd12 = pipeline("cyclic:12")
     with pytest.raises(ValueError, match="at least 30421755 vectors"):
         enumerate_strata(10 ** 6, (2,) + (0,) * 11, cd12)
+
+
+def test_labels_come_in_order_and_each_partition_count_is_listed_once(monkeypatch):
+    calls = Counter()
+
+    def counted(m):
+        calls[m] += 1
+        return partitions(m)
+
+    monkeypatch.setattr(strata, "partitions", counted)
+    _, _, cd = pipeline("cyclic:2")
+    labels = enumerate_strata(40, (2, 1), cd)
+    # one listing of the partitions of each m <= 40 // 2, shared by every v0
+    assert sum(calls.values()) <= 21 and set(calls.values()) == {1}
+    keys = [(sum(a * d for a, d in zip(l.v0, cd.delta)), l.v0, -sum(l.lam), l.lam)
+            for l in labels]
+    assert len(keys) == 19246 and keys == sorted(set(keys))
 
 
 def test_enumerate_strata_zero_points():
