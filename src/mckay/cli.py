@@ -26,7 +26,7 @@ from .groups import CLASS_BUDGET, FiniteSubgroup, GroupSpec, build_group
 from .highest_weight import drinfeld_polynomials, freudenthal, weylkac_oracle
 from .quiver import CartanData, mckay_quiver, to_dot
 from .roots import reconstruct_g_dim, root_system_for
-from .strata import enumerate_strata, enumerate_strata_rank1, fiber_parts
+from .strata import _list_strata, fiber_parts
 
 __all__ = ["run", "main"]
 
@@ -124,13 +124,42 @@ def _eigenvalue(num, den, n, k) -> CycNumber:
 
 
 def _emit(obj) -> None:
-    """Indented JSON written while it is encoded, a few thousand tokens
-    per write: the whole text is never held, and an unbuffered stdout
-    (PYTHONUNBUFFERED) does not pay one write per token."""
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    """Indented JSON written while it is encoded."""
+    _write(json.JSONEncoder(indent=2).iterencode(obj))
+
+
+def _write(chunks) -> None:
+    """The chunks and a newline, a few thousand chunks per write: the
+    whole text is never held, and an unbuffered stdout (PYTHONUNBUFFERED)
+    does not pay one write per chunk."""
     while batch := list(itertools.islice(chunks, 4096)):
         sys.stdout.write("".join(batch))
     sys.stdout.write("\n")
+
+
+def _json_ints(values) -> str:
+    """A flat int list as _emit writes it inside a record of a list."""
+    if not values:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(str, values)) + "\n    ]"
+
+
+def _strata_text(blocks):
+    """Each label's indented JSON with the text before it, from a
+    template per block: the v0 head and the residual tail, with each
+    partition's text between them.  The bytes are _emit's of the labels'
+    JSON objects, since a label is two flat int lists, an int and a
+    bool under fixed keys.  A listing is never empty: v0 = 0 with no
+    free orbit is always in it."""
+    before = "[\n  "
+    for v0, residual, lams in blocks:
+        head = f'{{\n    "v0": {_json_ints(v0)},\n    "lam": '
+        tail = (f',\n    "residual": {residual},\n    "candidate": '
+                f'{"true" if any(v0) else "false"}\n  }}')
+        for lam in lams:
+            yield f"{before}{head}{_json_ints(lam)}{tail}"
+            before = ",\n  "
+    yield "\n]"
 
 
 def _multiplicity_json(table) -> dict:
@@ -227,12 +256,8 @@ def _dispatch(args) -> None:
                                     "disagree; this is a bug")
         _emit(_multiplicity_json(table_f))
     elif args.command == "strata":
-        if args.w is None:
-            labels = enumerate_strata_rank1(args.n, cartan)
-        else:
-            w = _parse_int_vector(args.w, cartan.vertex_count, "w")
-            labels = enumerate_strata(args.n, w, cartan)
-        _emit([label.to_json_obj() for label in labels])
+        w = None if args.w is None else _parse_int_vector(args.w, cartan.vertex_count, "w")
+        _write(_strata_text(_list_strata(args.n, w, cartan)))
     elif args.command == "fiber":
         v = _parse_int_vector(args.v, cartan.vertex_count, "v")
         w = _parse_int_vector(args.w, cartan.vertex_count, "w")

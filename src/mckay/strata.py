@@ -14,6 +14,15 @@ candidates (no sufficient criterion is implemented).  In rank one, the
 only locally-free sheaf trivial at infinity is the trivial line
 bundle, so v0 = 0 is forced there.  A listing of more than
 STRATA_BUDGET vectors and labels is refused before it starts.
+
+A listing is a list of blocks (v0, residual, partitions) in printed
+order, each standing for the labels (v0, lam, residual), one per lam:
+the library wraps them in StratumLabel, and the CLI writes their JSON
+from templates.  The partition lists of every free-orbit count are built
+once, from each other, and shared by every v0.  The framed v0 come from a
+walk that carries w - C v0 one Cartan column at a time and drops a branch
+as soon as an entry that no later step can change is negative, so the
+vectors that fail the filter are mostly never built.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from __future__ import annotations
 import itertools
 from operator import mul, sub
 
+from .highest_weight import _sparse_rows
 from .quiver import CartanData
 from .record import Record, _set
 
@@ -128,11 +138,7 @@ def enumerate_strata_rank1(n: int, cd: CartanData) -> list[StratumLabel]:
     """All strata of the invariant n-point locus: a partition worth of
     free orbits plus the residue at the origin.  Ordered by total
     partition size descending, then lexicographically."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    zero = (0,) * cd.vertex_count
-    w = tuple(int(i == cd.trivial_vertex) for i in range(cd.vertex_count))
-    return _list_strata(n, [zero], w, cd)
+    return _labels(_list_strata(n, None, cd))
 
 
 def _check_lengths(cd: CartanData, *vectors: tuple[int, ...]) -> None:
@@ -170,12 +176,12 @@ def fiber_parts(v, w, v0, lam, cd: CartanData) -> FiberLabel:
     return FiberLabel(lagrangian, transported_framing(w, v0, cd), lam)
 
 
-def _bounded_vectors(weights: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """Nonnegative vectors v with sum(v_i * weights_i) <= n, in
-    lexicographic order.  Refused before anything is allocated when
-    their coin-change count is above STRATA_BUDGET.  The count runs over
-    sums cut at 1, 2, 4, ... and stops at n or at the first cut whose
-    count, which only lowers the full one, is over the budget."""
+def _bounded_count(weights: tuple[int, ...], n: int) -> int:
+    """The number of nonnegative vectors v with sum(v_i * weights_i) <=
+    n, their coin-change count.  Refused when it is above STRATA_BUDGET.
+    The count runs over sums cut at 1, 2, 4, ... and stops at n or at the
+    first cut whose count, which only lowers the full one, is over the
+    budget."""
     top = 1
     while True:
         top = min(top, n)
@@ -184,43 +190,101 @@ def _bounded_vectors(weights: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
             break
         top *= 2
     _refuse_over_budget(n, sum(ways), top < n)
-    out: list[tuple[int, ...]] = []
+    return sum(ways)
+
+
+def _framed_v0s(n: int, w: tuple[int, ...], cd: CartanData
+                ) -> list[tuple[int, tuple[int, ...]]]:
+    """(sum(v0_i delta_i), v0) for every nonnegative v0 with that sum at
+    most n and w - C v0 nonnegative, v0 in lexicographic order.  The walk
+    fixes v0 one entry at a time and carries pair = w - C v0: a unit
+    added to v0_i lowers it by the sparse Cartan column i (C is
+    symmetric, so column i is row i).  Entry j of pair is final once v0
+    is fixed on j and on every neighbour of j, and a branch is dropped as
+    soon as a final entry is negative.  A branch whose points are spent
+    is finished with zeros at once."""
+    rows = _sparse_rows(cd.cartan)
+    # final[i]: the entries of pair that are final once v0_i is fixed
+    final: list[list[int]] = [[] for _ in rows]
+    for j, row in enumerate(rows):
+        final[max([j] + [k for k, _ in row])].append(j)
+    kept = []
     # depth first, the smallest next entry popped first
-    stack = [((), n)]
+    stack = [((), n, list(w))]
     while stack:
-        prefix, remaining = stack.pop()
-        if len(prefix) == len(weights):
-            out.append(prefix)
+        prefix, remaining, pair = stack.pop()
+        i = len(prefix)
+        if i == len(rows) or not remaining:
+            # v0 is zero from i on, so every entry of pair is final
+            if min(pair) >= 0:
+                kept.append((n - remaining, prefix + (0,) * (len(rows) - i)))
             continue
-        d = weights[len(prefix)]
-        for value in range(remaining // d, -1, -1):
-            stack.append((prefix + (value,), remaining - value * d))
-    return out
+        d = cd.delta[i]
+        children = []
+        for value in range(remaining // d + 1):
+            if all(pair[j] >= 0 for j in final[i]):
+                children.append((prefix + (value,), remaining - value * d, pair))
+            pair = pair[:]
+            for j, c in rows[i]:
+                pair[j] -= c
+        stack.extend(reversed(children))
+    return kept
 
 
-def _list_strata(n: int, v0s: list[tuple[int, ...]], w: tuple[int, ...],
-                 cd: CartanData) -> list[StratumLabel]:
-    """The labels of every v0 in v0s that passes the transported-framing
-    filter, ordered by (sum(v0_i delta_i), v0, -|lam|, lam).  Refused
-    first when the v0 vectors plus those labels are more than
-    STRATA_BUDGET: each v0 brings one label per partition of every
-    m <= (n - sum(v0_i delta_i)) // |Gamma|.  Cutting m at _PARTITION_CUT
-    only lowers the count, and a cut count is already over the budget;
-    v0 = 0 is always kept, so past the refusal no m is above the cut."""
+def _ascending_partitions(cut: int) -> list[list[tuple[int, ...]]]:
+    """The partitions of each m = 0 .. cut, in lexicographic order, each
+    list built from the shorter ones: the partitions of m with parts at
+    most k are those with parts at most k - 1, then (k,) + each partition
+    of m - k with parts at most k."""
+    ascending: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(cut)]
+    for k in range(1, cut + 1):
+        for m in range(k, cut + 1):
+            ascending[m].extend([(k,) + rest for rest in ascending[m - k]])
+    return ascending
+
+
+def _list_strata(n: int, w, cd: CartanData
+                 ) -> list[tuple[tuple[int, ...], int, list[tuple[int, ...]]]]:
+    """The listing for framing w (rank one when w is None) as blocks
+    (v0, residual, partitions) in printed order: one block per kept v0
+    and free-orbit count m, holding the partitions of m in lexicographic
+    order, whose labels are (v0, lam, residual) for each lam.  The kept
+    v0 are those of a nonnegative transported framing, walked by
+    _framed_v0s, ordered by (sum(v0_i delta_i), v0), and m runs down from
+    the most free orbits the remaining points hold; in rank one v0 = 0
+    alone is kept.  Refused first when the v0 vectors plus the labels
+    are more than STRATA_BUDGET: each kept v0 brings one label per
+    partition of every m <= (n - sum(v0_i delta_i)) // |Gamma|.  Cutting
+    m at _PARTITION_CUT only lowers the count, and a cut count is already
+    over the budget; v0 = 0 is always kept, so past the refusal no m is
+    above the cut."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    rank_one = tuple(int(i == cd.trivial_vertex) for i in range(cd.vertex_count))
+    w = rank_one if w is None else tuple(w)
+    if len(w) != cd.vertex_count or min(w) < 0:
+        raise ValueError("framing must be a nonnegative vector on the vertices")
+    if w == rank_one:
+        vectors, kept = 1, [(0, (0,) * cd.vertex_count)]
+    else:
+        vectors = _bounded_count(cd.delta, n)
+        kept = sorted(_framed_v0s(n, w, cd))
     order = cd.group_order
-    kept = sorted((sum(map(mul, v0, cd.delta)), v0) for v0 in v0s
-                  if transported_framing(w, v0, cd) is not None)
     cut = min(n // order, _PARTITION_CUT)
     p = _coin_change(range(1, cut + 1), cut)
     labels_up_to = list(itertools.accumulate(p))
-    count = len(v0s) + sum(labels_up_to[min((n - used) // order, cut)]
-                           for used, _ in kept)
+    count = vectors + sum(labels_up_to[min((n - used) // order, cut)]
+                          for used, _ in kept)
     _refuse_over_budget(n, count, cut < n // order)
-    ascending = [partitions(m)[::-1] for m in range(cut + 1)]
-    return [StratumLabel(v0, lam, n - used - order * m)
+    ascending = _ascending_partitions(cut)
+    return [(v0, n - used - order * m, ascending[m])
             for used, v0 in kept
-            for m in range((n - used) // order, -1, -1)
-            for lam in ascending[m]]
+            for m in range((n - used) // order, -1, -1)]
+
+
+def _labels(blocks) -> list[StratumLabel]:
+    return [StratumLabel(v0, lam, residual)
+            for v0, residual, lams in blocks for lam in lams]
 
 
 def enumerate_strata(n: int, w, cd: CartanData) -> list[StratumLabel]:
@@ -229,13 +293,4 @@ def enumerate_strata(n: int, w, cd: CartanData) -> list[StratumLabel]:
     nonnegative transported framing.  Labels with v0 != 0 carry the
     candidate flag (no sufficient nonemptiness criterion is known
     here); in rank one only v0 = 0 occurs."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    w = tuple(w)
-    if len(w) != cd.vertex_count or min(w) < 0:
-        raise ValueError("framing must be a nonnegative vector on the vertices")
-    rank_one = all(w[i] == (1 if i == cd.trivial_vertex else 0)
-                   for i in range(cd.vertex_count))
-    if rank_one:
-        return enumerate_strata_rank1(n, cd)
-    return _list_strata(n, _bounded_vectors(cd.delta, n), w, cd)
+    return _labels(_list_strata(n, w, cd))

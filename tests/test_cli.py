@@ -5,6 +5,9 @@ import pytest
 
 from mckay import cache
 from mckay.cli import run
+from mckay.strata import enumerate_strata, enumerate_strata_rank1
+
+from conftest import pipeline
 
 
 @pytest.fixture(autouse=True)
@@ -172,6 +175,31 @@ def test_strata_subcommand(capsys):
     assert code == 0
     labels = json.loads(out)
     assert {"v0": [1, 0], "lam": [], "residual": 1, "candidate": True} in labels
+
+
+@pytest.mark.parametrize("spec,n,w", [
+    ("cyclic:2", 0, None),
+    ("cyclic:2", 9, None),
+    ("binary-tetrahedral", 0, "1,1,1,1,1,1,1"),
+    ("cyclic:2", 7, "2,0"),
+    ("binary-dihedral:2", 12, "1,1,1,1,1"),
+], ids=["rank-one-n-0", "rank-one", "framed-n-0", "framed-2-0", "framed-all-ones"])
+def test_strata_templates_write_the_encoders_bytes(capsys, spec, n, w):
+    _, _, cd = pipeline(spec)
+    if w is None:
+        labels = enumerate_strata_rank1(n, cd)
+        code, out, _ = invoke(capsys, "strata", spec, "--n", str(n))
+    else:
+        labels = enumerate_strata(n, tuple(map(int, w.split(","))), cd)
+        code, out, _ = invoke(capsys, "strata", spec, "--n", str(n), "--w", w)
+    assert code == 0
+    assert out == json.dumps([l.to_json_obj() for l in labels], indent=2) + "\n"
+    if n == 0:
+        assert [l.lam for l in labels] == [()]
+    else:
+        assert any(l.residual and l.lam for l in labels)
+    if w is not None and n:
+        assert any(l.candidate and l.residual for l in labels)
 
 
 def test_fiber_subcommand(capsys):

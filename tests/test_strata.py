@@ -219,18 +219,39 @@ def test_strata_over_the_budget_are_refused():
         enumerate_strata(10 ** 6, (2,) + (0,) * 11, cd12)
 
 
-def test_labels_come_in_order_and_each_partition_count_is_listed_once(monkeypatch):
-    calls = Counter()
+@pytest.mark.parametrize("text,n", [
+    ("cyclic:2", 6), ("cyclic:12", 2), ("binary-dihedral:5", 4),
+    ("binary-tetrahedral", 6), ("binary-icosahedral", 6)])
+def test_pruned_walk_keeps_what_the_framing_filter_keeps(text, n):
+    _, _, cd = pipeline(text)
+    r, trivial = cd.vertex_count, cd.trivial_vertex
+    framings = [tuple(2 * (i == trivial) for i in range(r)),
+                tuple(int(i in (trivial, r - 1)) for i in range(r)),
+                (1,) * r]
+    # (weight, v0) for every v0 of weight <= n, in lexicographic order
+    bounded = [(used, v0)
+               for v0 in itertools.product(*(range(n // d + 1) for d in cd.delta))
+               if (used := sum(a * d for a, d in zip(v0, cd.delta))) <= n]
+    boundary = False
+    for w in framings:
+        for top in (0, n):
+            expected = [(used, v0) for used, v0 in bounded
+                        if used <= top and transported_framing(w, v0, cd) is not None]
+            assert strata._framed_v0s(top, w, cd) == expected
+            boundary |= any(0 in transported_framing(w, v0, cd)
+                            for _, v0 in expected if any(v0))
+    # some kept v0 != 0 leaves an entry of w - C v0 at exactly 0
+    assert boundary
 
-    def counted(m):
-        calls[m] += 1
-        return partitions(m)
 
-    monkeypatch.setattr(strata, "partitions", counted)
+def test_labels_come_in_order_and_each_partition_count_is_listed_once():
+    # one list per m, each built from the shorter ones and shared by every v0
+    ascending = strata._ascending_partitions(48)
+    assert len(ascending) == 49
+    for m, listed in enumerate(ascending):
+        assert listed == partitions(m)[::-1]
     _, _, cd = pipeline("cyclic:2")
     labels = enumerate_strata(40, (2, 1), cd)
-    # one listing of the partitions of each m <= 40 // 2, shared by every v0
-    assert sum(calls.values()) <= 21 and set(calls.values()) == {1}
     keys = [(sum(a * d for a, d in zip(l.v0, cd.delta)), l.v0, -sum(l.lam), l.lam)
             for l in labels]
     assert len(keys) == 19246 and keys == sorted(set(keys))
