@@ -14,7 +14,8 @@ with multiplicity m(v).  Two independent algorithms are provided:
     of w + rho by that of rho.  By Kac's denominator identity the
     latter is the product of (1 - e^-beta)^mult over positive roots.
     The quotient is pushed through the window by height, and only its
-    nonzero entries do any work.
+    nonzero entries do any work.  The orbit walks and the push carry
+    each drop packed into one int.
 
 Both run over one finite window of drop vectors, a cap and a height
 bound: all v <= cap componentwise with sum(v) <= depth.  A height
@@ -192,31 +193,52 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
     return table
 
 
+def _packing(cap: tuple[int, ...]) -> tuple[list[tuple[int, int]], int, int]:
+    """The layout of a drop packed into one int, as (fields, bias, high):
+    field i holds v_i + bias_i in b_i + 1 bits at (shift_i, mask_i), with
+    b_i = cap_i.bit_length() and bias_i = 2^b_i - 1 - cap_i; high holds
+    every field's top bit.  A sum v_i + d_i <= 2 cap_i never carries out
+    of its field, and sets its top bit exactly when it is above cap_i."""
+    fields, bias, high, shift = [], 0, 0, 0
+    for c in cap:
+        bits = c.bit_length()
+        fields.append((shift, (2 << bits) - 1))
+        bias += ((1 << bits) - 1 - c) << shift
+        high += 1 << (shift + bits)
+        shift += bits + 1
+    return fields, bias, high
+
+
 def _numerator_signs(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
-                     depth: int) -> dict[tuple[int, ...], int]:
-    """Alternating sum over the affine Weyl orbit of w + rho, recorded
-    by the drop of the orbit point below w + rho.  Drops grow
-    monotonically along geodesics from the identity, so pruning to the
-    window loses nothing inside it."""
-    rows = _sparse_rows(cd.cartan)
-    zero = (0,) * cd.vertex_count
-    signs: dict[tuple[int, ...], int] = {zero: 1}
-    # a drop, its height and its pairing w + rho - C drop with the coroots
-    queue = [(zero, 0, [x + 1 for x in w])]
+                     depth: int, packing) -> list[dict[int, int]]:
+    """Alternating sum over the affine Weyl orbit of w + rho, as dicts
+    key -> sign by height, key the drop of the orbit point below w + rho
+    packed by _packing and biased.  Drops grow monotonically along
+    geodesics from the identity, so pruning to the window loses nothing
+    inside it.  s_i with pairing p adds p to field i; p <= cap_i keeps
+    the field from carrying, so its top bit flags a drop above cap_i."""
+    fields, bias, high = packing
+    steps = [(c, shift, row) for c, (shift, _), row
+             in zip(cap, fields, _sparse_rows(cd.cartan))]
+    levels = [{bias: 1}] + [{} for _ in range(depth)]
+    # a key, its height, its children's sign, its pairing w + rho - C drop
+    queue = [(bias, 0, -1, [x + 1 for x in w])]
     while queue:
-        drop, height, pairing = queue.pop()
-        sign = -signs[drop]
-        for i, p in enumerate(pairing):
-            if p < 0 or drop[i] + p > cap[i] or height + p > depth:
+        key, height, sign, pairing = queue.pop()
+        room = depth - height
+        for (c, shift, row), p in zip(steps, pairing):
+            if p < 0 or p > c or p > room:
                 continue  # s_i lowers the drop or leaves the window
-            candidate = drop[:i] + (drop[i] + p,) + drop[i + 1:]
-            if candidate not in signs:
-                signs[candidate] = sign
-                moved = pairing[:]
-                for j, c in rows[i]:
-                    moved[j] -= c * p
-                queue.append((candidate, height + p, moved))
-    return signs
+            moved = key + (p << shift)
+            level = levels[height + p]
+            if moved & high or moved in level:
+                continue
+            level[moved] = sign
+            stepped = pairing[:]
+            for j, x in row:
+                stepped[j] -= x * p
+            queue.append((moved, height + p, -sign, stepped))
+    return levels
 
 
 def _weylkac_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
@@ -225,33 +247,15 @@ def _weylkac_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
     Kac's denominator identity N_0 is the product of (1 - e^-beta)^mult
     over the positive roots.  The quotient is pushed height by height:
     an entry at v is final when its height comes up, and it then
-    subtracts its value times N_0[d] at every v + d in the window.
-
-    A drop is packed into one int, field i holding v_i + bias_i in
-    b_i + 1 bits, where b_i = cap_i.bit_length() and
-    bias_i = 2^b_i - 1 - cap_i.  A sum v_i + d_i <= 2 cap_i never
-    carries out of its field, and it sets the field's top bit exactly
-    when it is above cap_i."""
+    subtracts its value times N_0[d] at every v + d in the window, one
+    int sum and one test of its top bits on drops packed by _packing."""
     n = cd.vertex_count
-    fields, bias, high, shift = [], 0, 0, 0
-    for c in cap:
-        bits = c.bit_length()
-        fields.append((shift, (2 << bits) - 1))
-        bias += ((1 << bits) - 1 - c) << shift
-        high += 1 << (shift + bits)
-        shift += bits + 1
-
-    def pack(v):
-        return sum(x << s for x, (s, _) in zip(v, fields))
-
-    # N_0 without its origin term, by height, each term negated
-    denominator = [[] for _ in range(depth + 1)]
-    for d, sign in _numerator_signs((0,) * n, cd, cap, depth).items():
-        if any(d):
-            denominator[sum(d)].append((pack(d), -sign))
-    buckets = [{} for _ in range(depth + 1)]
-    for v, sign in _numerator_signs(w, cd, cap, depth).items():
-        buckets[sum(v)][pack(v) + bias] = sign
+    packing = fields, bias, high = _packing(cap)
+    # N_0 by height, unbiased and negated; its origin term is never read
+    denominator = [[(key - bias, -sign) for key, sign in level.items()]
+                   for level in _numerator_signs((0,) * n, cd, cap, depth,
+                                                 packing)]
+    buckets = _numerator_signs(w, cd, cap, depth, packing)
 
     table = {}
     for height, bucket in enumerate(buckets):

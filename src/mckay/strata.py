@@ -98,19 +98,23 @@ class FiberLabel(Record):
 
 
 def partitions(m: int) -> list[tuple[int, ...]]:
-    """All partitions of m, in reverse-lexicographic order."""
+    """All partitions of m, in reverse-lexicographic order.  Each one
+    follows from the one before: strip its trailing 1s, lower the last
+    part left by one to k, and refill greedily with parts at most k."""
     if m < 0:
         raise ValueError("cannot partition a negative integer")
     out: list[tuple[int, ...]] = []
-    # depth first, the largest next part popped first
-    stack = [((), m, m)]
-    while stack:
-        prefix, remaining, largest = stack.pop()
-        if remaining == 0:
-            out.append(prefix)
-        for part in range(1, min(remaining, largest) + 1):
-            stack.append((prefix + (part,), remaining - part, part))
-    return out
+    part = [m] if m else []
+    while True:
+        out.append(tuple(part))
+        cut = len(part)
+        while cut and part[cut - 1] == 1:
+            cut -= 1
+        if not cut:
+            return out
+        k = part[cut - 1] - 1
+        whole, rest = divmod(len(part) - cut + 1, k)
+        part[cut - 1:] = [k] * (whole + 1) + ([rest] if rest else [])
 
 
 def _coin_change(coins, top: int) -> list[int]:

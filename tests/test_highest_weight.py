@@ -4,7 +4,8 @@ import pytest
 
 from mckay.cyclotomic import CycNumber, root_of_unity
 from mckay.errors import InvariantError
-from mckay.highest_weight import (MultiplicityTable, _numerator_signs,
+from mckay.highest_weight import (MultiplicityTable, _freudenthal_core,
+                                  _numerator_signs, _packing, _weylkac_core,
                                   _window_roots, drinfeld_polynomials,
                                   freudenthal, freudenthal_box, weylkac_box,
                                   weylkac_oracle)
@@ -161,17 +162,62 @@ def test_denominator_identity_matches_the_root_multiplicities(text, depth):
                 if all(map(le, u, cap)) and sum(u) <= depth:
                     product[u] = product.get(u, 0) - c
             product = {v: c for v, c in product.items() if c}
-    assert _numerator_signs((0,) * n, cd, cap, depth) == product
+    fields, bias, _ = packing = _packing(cap)
+    walked = {}
+    for height, level in enumerate(
+            _numerator_signs((0,) * n, cd, cap, depth, packing)):
+        for key, sign in level.items():
+            v = tuple(((key - bias) >> s) & mask for s, mask in fields)
+            assert sum(v) == height and v not in walked
+            walked[v] = sign
+    assert walked == product
+
+
+@pytest.mark.parametrize("text,w,cap,depth", [
+    # boxes with cap entries 0, 1, 2^k - 1 and 2^k: a reflection whose
+    # pairing is past cap_i would carry out of field i into the next
+    ("cyclic:2", (5, 5), (0, 8), None),
+    ("cyclic:2", (9, 0), (7, 4), None),
+    ("cyclic:3", (0, 0, 9), (0, 0, 3), None),
+    ("cyclic:3", (1, 4, 9), (4, 7, 1), None),
+    ("cyclic:3", (5, 0, 2), (8, 0, 3), None),
+    ("binary-dihedral:2", (2, 0, 0, 0, 0), (0, 1, 2, 3, 4), None),
+    ("binary-dihedral:2", (0, 3, 1, 0, 5), (8, 0, 4, 1, 7), None),
+    ("binary-tetrahedral", (1, 0, 2, 0, 0, 3, 0), (0, 1, 3, 4, 1, 2, 8), None),
+    ("binary-tetrahedral", (0, 9, 0, 0, 2, 0, 5), (1, 2, 1, 0, 4, 3, 7), None),
+    # height windows: every cap entry D, under the depth D < n D
+    ("cyclic:2", (5, 5), None, 8),
+    ("cyclic:3", (0, 0, 9), None, 7),
+    ("cyclic:3", (3, 1, 0), None, 4),
+    ("binary-dihedral:2", (2, 0, 0, 0, 0), None, 3),
+    ("binary-tetrahedral", (0, 0, 0, 0, 0, 0, 4), None, 4),
+    ("binary-tetrahedral", (1, 0, 0, 0, 0, 0, 0), None, 1),
+    # a mixed cap under a depth below its sum, which only the cores take
+    ("cyclic:3", (0, 2, 9), (4, 1, 8), 7),
+    ("binary-dihedral:2", (2, 0, 0, 0, 0), (0, 1, 2, 3, 4), 6),
+    ("binary-dihedral:2", (0, 5, 0, 3, 1), (7, 2, 4, 0, 8), 12),
+    ("binary-tetrahedral", (3, 0, 1, 0, 9, 0, 0), (8, 4, 1, 0, 3, 7, 2), 11)])
+def test_weylkac_matches_freudenthal_where_the_packing_is_tight(text, w, cap,
+                                                                 depth):
+    _, _, cd = pipeline(text)
+    if cap is None:
+        assert weylkac_oracle(w, cd, depth) == freudenthal(w, cd, depth)
+    elif depth is None:
+        assert weylkac_box(w, cd, cap) == freudenthal_box(w, cd, cap)
+    else:
+        assert (_weylkac_core(w, cd, cap, depth)
+                == _freudenthal_core(w, cd, cap, depth))
 
 
 def _origin_scaled(monkeypatch, factor):
     """_numerator_signs with the origin term of every numerator but the
     denominator's multiplied by factor."""
-    def scaled(w, cd, cap, depth):
-        series = _numerator_signs(w, cd, cap, depth)
+    def scaled(w, cd, cap, depth, packing):
+        levels = _numerator_signs(w, cd, cap, depth, packing)
         if any(w):
-            series[(0,) * cd.vertex_count] *= factor
-        return series
+            _, bias, _ = packing
+            levels[0][bias] *= factor  # the drop 0, biased
+        return levels
     monkeypatch.setattr("mckay.highest_weight._numerator_signs", scaled)
 
 
