@@ -43,7 +43,7 @@ from operator import le, sub
 
 from .cyclotomic import CycNumber
 from .errors import InvariantError
-from .quiver import CartanData
+from .quiver import CartanData, _sparse_rows
 from .record import Record, _set
 from .roots import root_system_for, unrestrict
 
@@ -117,10 +117,6 @@ def _window_roots(cd: CartanData, cap: tuple[int, ...], depth: int
     roots = [(vec, mult) for vec, mult in candidates if inside(vec)]
     roots.sort(key=lambda item: (sum(item[0]), item[0]))
     return roots
-
-
-def _sparse_rows(cartan) -> list[list[tuple[int, int]]]:
-    return [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
 
 
 def _freudenthal_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],

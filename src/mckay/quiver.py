@@ -37,6 +37,10 @@ __all__ = [
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def _sparse_rows(matrix) -> list[list[tuple[int, int]]]:
+    return [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
+
+
 class ClassificationError(InternalError):
     """The graph is not an affine ADE diagram."""
 

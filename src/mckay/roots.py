@@ -1,11 +1,13 @@
 """Finite root systems and the fixed-point dichotomy.
 
 Positive roots are generated two independent ways (root-string closure
-from the simple roots, and the reflection orbit of the simple roots)
-and the two sets are required to agree.  Roots are integer vectors in
-the simple-root basis of the reference finite diagram, i.e. reference
-vertices 1..n from the classification; dimension vectors on the quiver
-are moved into these coordinates through standard_labeling.
+from the simple roots, and the reflection orbit of the simple roots),
+as two move rules over one walk that steps each vector's coroot
+pairings by sparse Cartan columns, and the two sets are required to
+agree.  Roots are integer vectors in the simple-root basis of the
+reference finite diagram, i.e. reference vertices 1..n from the
+classification; dimension vectors on the quiver are moved into these
+coordinates through standard_labeling.
 
 The status of the fixed-point component attached to a dimension vector
 v with trivial multiplicity 1 follows the restriction of the weight
@@ -23,7 +25,8 @@ import enum
 from functools import cached_property, lru_cache
 
 from .errors import InvariantError
-from .quiver import CartanData, Matrix, reference_affine, reference_finite
+from .quiver import (CartanData, Matrix, _sparse_rows, reference_affine,
+                     reference_finite)
 from .record import Record, _set
 
 __all__ = [
@@ -60,8 +63,11 @@ class RootSystem(Record):
         if not cartan or any(len(row) != len(cartan) for row in cartan):
             raise InvariantError("the Cartan matrix is not a nonempty square matrix")
         _set(self, "cartan", cartan)
-        by_strings = _roots_by_string_closure(cartan)
-        if by_strings != _roots_by_reflection_orbit(cartan):
+        by_strings = set(_closure(cartan, _string_moves,
+                                  "root generation did not terminate; "
+                                  "the Cartan matrix is not finite ADE type"))
+        orbit = _closure(cartan, _reflection_moves, "reflection orbit did not close")
+        if by_strings != {beta for beta in orbit if min(beta) >= 0}:
             raise InvariantError("string closure and reflection orbit disagree")
         ordered = sorted(by_strings, key=lambda b: (sum(b), b))
         heights = [sum(b) for b in ordered]
@@ -91,63 +97,56 @@ class RootSystem(Record):
                 "positive_roots": [list(r) for r in self.positive]}
 
 
-def _pairing(cartan: Matrix, vector: tuple[int, ...], i: int) -> int:
-    return sum(cartan[i][j] * vector[j] for j in range(len(vector)))
-
-
-def _roots_by_string_closure(cartan: Matrix) -> set[tuple[int, ...]]:
+def _closure(cartan: Matrix, moves, failure: str) -> dict[tuple[int, ...], list[int]]:
+    """Every vector reached from the simple roots by the moves, with its
+    pairings p_j = sum_l C[j][l] beta_l, walked one frontier at a time.
+    moves(beta, pair, found) yields (i, k) for the step beta + k alpha_i,
+    which adds k times column i of C to the pairings.  A frontier still
+    open after GENERATION_BOUND_FACTOR n^2 rounds raises failure."""
     n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    found: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
-    iterations = 0
-    while frontier:
-        iterations += 1
-        if iterations > GENERATION_BOUND_FACTOR * n * n:
-            raise InvariantError("root generation did not terminate; "
-                                 "the Cartan matrix is not finite ADE type")
+    columns = _sparse_rows(zip(*cartan))
+    found = {tuple(int(j == i) for j in range(n)): [row[i] for row in cartan]
+             for i in range(n)}
+    frontier = list(found.items())
+    for _ in range(GENERATION_BOUND_FACTOR * n * n):
         fresh = []
-        for beta in frontier:
-            for i in range(n):
-                down = 0
+        for beta, pair in frontier:
+            for i, k in moves(beta, pair, found):
                 step = list(beta)
-                while True:
-                    step[i] -= 1
-                    if min(step) < 0 or tuple(step) not in found:
-                        break
-                    down += 1
-                if down - _pairing(cartan, beta, i) > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    candidate = tuple(up)
-                    if candidate not in found:
-                        found.add(candidate)
-                        fresh.append(candidate)
+                step[i] += k
+                candidate = tuple(step)
+                if candidate not in found:
+                    stepped = pair[:]
+                    for j, c in columns[i]:
+                        stepped[j] += k * c
+                    found[candidate] = stepped
+                    fresh.append((candidate, stepped))
         frontier = fresh
-    return found
+        if not frontier:
+            return found
+    raise InvariantError(failure)
 
 
-def _roots_by_reflection_orbit(cartan: Matrix) -> set[tuple[int, ...]]:
-    n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    orbit: set[tuple[int, ...]] = set(simple)
-    frontier = list(simple)
-    iterations = 0
-    while frontier:
-        iterations += 1
-        if iterations > GENERATION_BOUND_FACTOR * n * n:
-            raise InvariantError("reflection orbit did not close")
-        fresh = []
-        for beta in frontier:
-            for i in range(n):
-                image = list(beta)
-                image[i] -= _pairing(cartan, beta, i)
-                candidate = tuple(image)
-                if candidate not in orbit:
-                    orbit.add(candidate)
-                    fresh.append(candidate)
-        frontier = fresh
-    return {beta for beta in orbit if min(beta) >= 0}
+def _string_moves(beta, pair, found):
+    """Up the alpha_i string through beta when it reaches further below
+    beta than the pairing p_i: when p_i < 0, or when beta - k alpha_i is
+    found for k = 1 .. p_i + 1."""
+    for i, p in enumerate(pair):
+        if p < 0:
+            yield i, 1
+        elif beta[i] > p:
+            step = list(beta)
+            for _ in range(p + 1):
+                step[i] -= 1
+                if tuple(step) not in found:
+                    break
+            else:
+                yield i, 1
+
+
+def _reflection_moves(beta, pair, found):
+    """The simple reflections that move beta: s_i beta = beta - p_i alpha_i."""
+    return ((i, -p) for i, p in enumerate(pair) if p)
 
 
 def positive_roots(cartan_finite: Matrix) -> RootSystem:

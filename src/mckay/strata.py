@@ -13,7 +13,8 @@ nonemptiness filter; labels with a nonzero locally-free part are only
 candidates (no sufficient criterion is implemented).  In rank one, the
 only locally-free sheaf trivial at infinity is the trivial line
 bundle, so v0 = 0 is forced there.  A listing of more than
-STRATA_BUDGET vectors and labels is refused before it starts.
+STRATA_BUDGET vectors and labels is refused before any label is listed:
+with a framing, the v0 are counted before the v0 walk, their labels after.
 
 A listing is a list of blocks (v0, residual, partitions) in printed
 order, each standing for the labels (v0, lam, residual), one per lam:
@@ -30,8 +31,7 @@ from __future__ import annotations
 import itertools
 from operator import mul, sub
 
-from .highest_weight import _sparse_rows
-from .quiver import CartanData
+from .quiver import CartanData, _sparse_rows
 from .record import Record, _set
 
 __all__ = [

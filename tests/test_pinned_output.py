@@ -1,8 +1,9 @@
 """The JSON the CLI prints for `group`, `chartab` and `quiver`, pinned by
 sha256 on every small spec and on four specs with 30 to 60 classes, and
-the `strata` stdout of three listings.  Any change to elements, their
-order, the classes, the character values, the quiver or the labels and
-their order changes a digest."""
+the `strata` stdout of three listings, and the root systems of A~59, D~59
+and the three E types.  Any change to elements, their order, the
+classes, the character values, the quiver, the labels and their order
+or the roots and their order changes a digest."""
 
 import hashlib
 import json
@@ -10,6 +11,8 @@ import json
 import pytest
 
 from mckay.cli import run
+from mckay.quiver import reference_finite
+from mckay.roots import positive_roots
 
 from conftest import pipeline
 
@@ -178,3 +181,20 @@ def test_strata_stdout_is_pinned(args, capsys):
     assert run(["strata", *args.split(), "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == STRATA_DIGESTS[args]
+
+
+# type: sha256 of RootSystem.to_json_obj() for its reference finite matrix
+ROOT_DIGESTS = {
+    "A~59": "f3a935c22b4a4b27f7185e76866d1e219d47b59da1c36320a8f5aa10a4710670",
+    "D~59": "a690689119b301c660397a8b73a798f9de84cba73f65e68cda3c7a0d6d98e05a",
+    "E~6": "a48911a9ed273ef592900925d657ce8dc07f0a9b6297a03fbf241b660f4be86f",
+    "E~7": "0376796576815e51b75a4e3542dfc0f542b59e16f9aef9cf0e6c1ea2b2b8f9b9",
+    "E~8": "5a53ca3ad55fdd2bb174c84696fa6d8ab9043b9bd1abd4a2debae88a1c2d591c",
+}
+
+
+@pytest.mark.parametrize("ade", ROOT_DIGESTS)
+def test_root_system_json_is_pinned(ade):
+    obj = positive_roots(reference_finite(ade)).to_json_obj()
+    text = json.dumps(obj, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == ROOT_DIGESTS[ade]

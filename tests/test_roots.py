@@ -1,9 +1,10 @@
 import pytest
 
+from mckay import roots
 from mckay.errors import InvariantError
 from mckay.roots import (MVStatus, RootSystem, m_v_status, positive_roots,
                          reconstruct_g_dim, restrict_to_finite, root_system_for)
-from mckay.quiver import reference_finite
+from mckay.quiver import reference_affine, reference_finite
 
 from conftest import pipeline
 
@@ -103,3 +104,51 @@ def test_a_matrix_that_is_not_square_is_refused(cartan):
     # ((2,), (-1,)) used to raise IndexError from the root-string closure
     with pytest.raises(InvariantError, match="not a nonempty square matrix"):
         RootSystem(cartan)
+
+
+@pytest.mark.parametrize("moves", ["_string_moves", "_reflection_moves"])
+@pytest.mark.parametrize("ade", ["A~59", "D~59", "E~8"])
+def test_the_walk_carries_the_dense_pairings(ade, moves):
+    cartan = reference_finite(ade)
+    found = roots._closure(cartan, getattr(roots, moves), "no closure")
+    assert len(found) == (1 if moves == "_string_moves" else 2) \
+        * classical_positive_count(ade)
+    for beta, pair in found.items():
+        assert pair == [sum(c * b for c, b in zip(row, beta)) for row in cartan]
+
+
+@pytest.mark.parametrize("cartan,count", [
+    (((2, -2), (-1, 2)), 4),
+    (((2, -1), (-3, 2)), 6),
+    (((2, -1, 0), (-1, 2, -2), (0, -1, 2)), 9),
+], ids=["B2", "G2", "B3"])
+def test_non_symmetric_finite_cartan_matrices(cartan, count):
+    # the walk steps pairings by columns; by rows these would not close
+    # on the same roots
+    assert positive_roots(cartan).count == count
+
+
+@pytest.mark.parametrize("ade", ["A~1", "D~4", "E~8"])
+def test_an_affine_cartan_matrix_is_refused(ade):
+    adjacency, _ = reference_affine(ade)
+    cartan = tuple(tuple(2 * (i == j) - a for j, a in enumerate(row))
+                   for i, row in enumerate(adjacency))
+    with pytest.raises(InvariantError, match="root generation did not terminate"):
+        RootSystem(cartan)
+
+
+def test_a_move_rule_that_drops_a_root_is_refused(monkeypatch):
+    # the string closure never steps up, so (1, 1) is missing from it
+    monkeypatch.setattr(roots, "_string_moves", lambda beta, pair, found: ())
+    with pytest.raises(InvariantError,
+                       match="string closure and reflection orbit disagree"):
+        RootSystem(reference_finite("A~2"))
+
+
+def test_a_frontier_that_empties_on_the_last_allowed_round_returns(monkeypatch):
+    # the A1 orbit takes two rounds: alpha to -alpha, and back
+    monkeypatch.setattr(roots, "GENERATION_BOUND_FACTOR", 2)
+    assert positive_roots(((2,),)).positive == ((1,),)
+    monkeypatch.setattr(roots, "GENERATION_BOUND_FACTOR", 1)
+    with pytest.raises(InvariantError, match="reflection orbit did not close"):
+        positive_roots(((2,),))
