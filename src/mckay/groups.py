@@ -41,13 +41,12 @@ __all__ = [
 
 # Largest class count r a GroupSpec accepts, in the library as in the
 # CLI, so no accepted spec runs away: the largest r whose
-# `quiver --no-cache` finished in about 10 s when it was set.  At r = 60,
-# it takes 0.6-0.75 s on binary-dihedral:57 and 0.7-0.95 s on cyclic:60 as
-# a process (Python 3.11, 2 vCPU).  The Dixon split costs about r^3 per
-# seeded draw, and cyclic:60 needs 7 draws, most of its time; the lift, one
-# length-ord(g) transform per (row, rational class), is most of
-# binary-dihedral:57's; the one `pairings` check is an r^3 product per
-# function.
+# `quiver --no-cache` finished in about 10 s when it was set (README
+# states what it takes now).  The Dixon split costs about r^3 per seeded
+# draw, and the cyclic groups that need many draws spend most of their
+# time there; the lift, one length-ord(g) transform per (row, rational
+# class), is most of binary-dihedral:57's; the one `pairings` check is an
+# r^3 product per function.
 CLASS_BUDGET = 60
 
 FAMILIES = (

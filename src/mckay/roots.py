@@ -205,13 +205,6 @@ def m_v_status(v, cd: CartanData) -> MVStatus:
 
 def reconstruct_g_dim(cd: CartanData) -> int:
     """dim g as (number of single-point components with trivial
-    multiplicity 1) + rank, computed from the generated root system."""
-    system = root_system_for(cd)
-    theta = system.highest_root
-    count = 0
-    for positive in system.positive:
-        for beta in (positive, tuple(-x for x in positive)):
-            v = unrestrict(cd, tuple(t + b for t, b in zip(theta, beta)), 1)
-            if v != cd.delta and m_v_status(v, cd) is MVStatus.SINGLE_POINT:
-                count += 1
-    return count + cd.rank
+    multiplicity 1) + rank: v is a single point exactly when it restricts
+    to theta + gamma, gamma a root, and each root (within +-theta) gives one."""
+    return 2 * root_system_for(cd).count + cd.rank

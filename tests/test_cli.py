@@ -485,6 +485,26 @@ def test_cached_columns_swapped_against_the_power_map_are_recomputed(capsys, spe
     _assert_damaged_entry_is_recomputed(capsys, "chartab", spec, swap_columns)
 
 
+@pytest.mark.xfail(strict=True, reason="a known gap of the cached-table checks: the two "
+                   "columns are one whole rational class, so the swap is sigma_-1 on that "
+                   "class alone, and the Galois check relates only classes of equal order")
+@pytest.mark.parametrize("spec,a,b", [("cyclic:12", 6, 7), ("binary-tetrahedral", 5, 6)])
+def test_cached_columns_swapped_within_one_rational_class_are_recomputed(capsys, spec, a, b):
+    """Columns a and b are complex conjugate classes of equal size and
+    trace; after the swap the rows are re-sorted into canonical order."""
+    from mckay.chartab import _row_key
+    from mckay.cyclotomic import CycNumber
+
+    def swap_columns_and_sort_rows(payload):
+        table = payload["chartab"]
+        for row in (*table["values"], table["defining_values"]):
+            row[a], row[b] = row[b], row[a]
+        rows = sorted(zip(table["degrees"], table["values"]), key=lambda item: _row_key(
+            tuple(map(CycNumber.from_json_obj, item[1]))))
+        table["degrees"], table["values"] = map(list, zip(*rows))
+    _assert_damaged_entry_is_recomputed(capsys, "chartab", spec, swap_columns_and_sort_rows)
+
+
 def test_a_warm_run_reads_no_group(capsys, monkeypatch):
     from mckay.groups import FiniteSubgroup
     code, fresh, _ = invoke(capsys, "group", "cyclic:5", "--no-cache")

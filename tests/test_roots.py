@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from mckay import roots
@@ -96,6 +98,22 @@ def test_reconstructed_lie_algebra_dimension(text, dim):
     assert reconstruct_g_dim(cd) == dim
     system = root_system_for(cd)
     assert dim == 2 * system.count + cd.rank
+
+
+@pytest.mark.parametrize("text,scale,dim", [
+    ("cyclic:2", 3, 3), ("cyclic:3", 2, 8), ("cyclic:5", 2, 24),
+    ("binary-dihedral:2", 2, 28), ("binary-dihedral:3", 2, 45),
+    ("binary-tetrahedral", 2, 78),
+])
+def test_single_points_counted_in_a_box_give_dim_g(text, scale, dim):
+    # every v with trivial multiplicity 1 up to scale * delta goes through
+    # m_v_status; a single point restricts to theta + gamma <= 2 theta, so
+    # the 2 delta box holds them all, and on A~1 the 3 delta box adds none
+    _, _, cd = pipeline(text)
+    box = [range(1, 2) if i == cd.trivial_vertex else range(scale * d + 1)
+           for i, d in enumerate(cd.delta)]
+    singles = sum(m_v_status(v, cd) is MVStatus.SINGLE_POINT for v in product(*box))
+    assert singles + cd.rank == reconstruct_g_dim(cd) == dim
 
 
 @pytest.mark.parametrize("cartan", [((2,), (-1,)), ((2, -1), (-1,)), ()],
