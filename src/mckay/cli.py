@@ -3,9 +3,9 @@
 Every subcommand emits deterministic JSON on stdout (DOT for
 `quiver --dot`); diagnostics go to stderr.  Exit codes: 0 success,
 2 usage error (bad arguments, an unknown group spec or one above the
-class budget, a multiplicity window or a strata listing over its
-budget), 1 internal invariant failure.  `GroupSpec` refuses a spec over
-the class budget, so such a spec reads no cache and builds no group.
+class budget, a window or strata listing over its budget) or stdout
+not writable, 1 internal invariant failure.  `GroupSpec` refuses a
+spec over the class budget: it reads no cache and builds no group.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -291,8 +292,14 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         _dispatch(args)
+        sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a stdout write: the cache catches its own
+        if sys.stdout is sys.__stdout__:  # so the flush at exit writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except InternalError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)

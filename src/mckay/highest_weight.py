@@ -43,7 +43,7 @@ from operator import le, sub
 
 from .cyclotomic import CycNumber
 from .errors import InvariantError
-from .quiver import CartanData, _sparse_rows
+from .quiver import CartanData
 from .record import Record, _set
 from .roots import root_system_for, unrestrict
 
@@ -124,14 +124,13 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
     """The recursion over a frontier, one height at a time: each
     v - k beta and each reflected drop lies lower, so it is final when
     it is read.  pair = w - C v, the weight's pairing with the simple
-    coroots, is stepped from the parent's by a Cartan column (C is
-    symmetric, so column i is row i)."""
-    rows = _sparse_rows(cd.cartan)
+    coroots, is stepped from the parent's by the sparse Cartan column
+    cd.sparse_cartan[i] (C is symmetric, so column i is row i)."""
+    rows = cd.sparse_cartan
     # C is symmetric, so (beta, weight at u) = beta . pair(u), and the
     # step u -> u - beta raises it by (beta, beta)
     root_data = [(beta, mult, [(i, b) for i, b in enumerate(beta) if b],
-                  sum(beta[i] * c * beta[j] for i, row in enumerate(cd.cartan)
-                      for j, c in enumerate(row)))
+                  sum(b * c * beta[j] for i, b in enumerate(beta) for j, c in rows[i]))
                  for beta, mult in _window_roots(cd, cap, depth)]
     table: dict[tuple[int, ...], int] = {}
     frontier = {(0,) * cd.vertex_count: list(w)}
@@ -214,8 +213,7 @@ def _numerator_signs(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
     inside it.  s_i with pairing p adds p to field i; p <= cap_i keeps
     the field from carrying, so its top bit flags a drop above cap_i."""
     fields, bias, high = packing
-    steps = [(c, shift, row) for c, (shift, _), row
-             in zip(cap, fields, _sparse_rows(cd.cartan))]
+    steps = [(c, shift, row) for c, (shift, _), row in zip(cap, fields, cd.sparse_cartan)]
     levels = [{bias: 1}] + [{} for _ in range(depth)]
     # a key, its height, its children's sign, its pairing w + rho - C drop
     queue = [(bias, 0, -1, [x + 1 for x in w])]

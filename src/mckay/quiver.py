@@ -37,10 +37,6 @@ __all__ = [
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _sparse_rows(matrix) -> list[list[tuple[int, int]]]:
-    return [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
-
-
 class ClassificationError(InternalError):
     """The graph is not an affine ADE diagram."""
 
@@ -53,12 +49,14 @@ class CartanData(Record):
     with the trivial vertex as the root; it derives the vertex count,
     the Cartan matrix C = 2I - A, the type and the labeling.
 
-    standard_labeling[v] is the vertex of the reference diagram of
-    ade_type that v corresponds to; the trivial vertex maps to 0.
+    sparse_cartan[i] holds the (j, C_ij) with C_ij != 0, j ascending: row
+    i of C, and column i, as C is symmetric.  standard_labeling[v] is the
+    reference vertex of ade_type that v corresponds to; the trivial
+    vertex maps to 0.
     """
 
     __slots__ = ("adjacency", "delta", "trivial_vertex", "vertex_count", "cartan",
-                 "ade_type", "standard_labeling")
+                 "sparse_cartan", "ade_type", "standard_labeling")
 
     def __init__(self, adjacency: Matrix, delta: tuple[int, ...], trivial_vertex: int):
         _set(self, "adjacency", adjacency)
@@ -77,7 +75,8 @@ class CartanData(Record):
                     raise InvariantError("quiver adjacency is not symmetric")
         cartan = tuple(tuple((2 if i == j else 0) - adjacency[i][j] for j in range(r))
                        for i in range(r))
-        if any(sum(cartan[i][j] * delta[j] for j in range(r)) != 0 for i in range(r)):
+        sparse = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in cartan)
+        if any(sum(c * delta[j] for j, c in row) for row in sparse):
             raise InvariantError("C * delta != 0")
         if min(delta) < 1 or delta[trivial_vertex] != 1:
             raise InvariantError("delta is not a primitive positive kernel vector")
@@ -87,6 +86,7 @@ class CartanData(Record):
         ade_type, labeling = classify_ade(adjacency, delta, trivial_vertex)
         _set(self, "vertex_count", r)
         _set(self, "cartan", cartan)
+        _set(self, "sparse_cartan", sparse)
         _set(self, "ade_type", ade_type)
         _set(self, "standard_labeling", labeling)
 

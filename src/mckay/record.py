@@ -21,9 +21,7 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # `__dict__` in `__slots__` only makes room for a cached_property
-        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
-        cls._key = attrgetter(*cls._fields)
+        cls._key = attrgetter(*cls.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -42,4 +40,4 @@ class Record:
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(" + ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"

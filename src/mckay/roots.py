@@ -22,11 +22,10 @@ points and the Cartan rank recovers dim g.
 from __future__ import annotations
 
 import enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import InvariantError
-from .quiver import (CartanData, Matrix, _sparse_rows, reference_affine,
-                     reference_finite)
+from .quiver import CartanData, Matrix, reference_affine, reference_finite
 from .record import Record, _set
 
 __all__ = [
@@ -55,9 +54,9 @@ class RootSystem(Record):
     The constructor requires a nonempty square matrix, generates the
     roots two ways, by root-string closure and by the reflection orbit
     of the simple roots, and requires the two sets to agree and the
-    highest root to be unique."""
+    highest root to be unique; positive_set holds them as a frozenset."""
 
-    __slots__ = ("cartan", "positive", "__dict__")  # __dict__ holds _positive_set
+    __slots__ = ("cartan", "positive", "positive_set")
 
     def __init__(self, cartan: Matrix):
         if not cartan or any(len(row) != len(cartan) for row in cartan):
@@ -74,6 +73,7 @@ class RootSystem(Record):
         if heights.count(heights[-1]) != 1:
             raise InvariantError("highest root is not unique")
         _set(self, "positive", tuple(ordered))
+        _set(self, "positive_set", frozenset(ordered))
 
     @property
     def count(self) -> int:
@@ -85,12 +85,7 @@ class RootSystem(Record):
 
     def is_root(self, vector: tuple[int, ...]) -> bool:
         """Membership in the full root system (either sign)."""
-        return vector in self._positive_set or \
-            tuple(-x for x in vector) in self._positive_set
-
-    @cached_property
-    def _positive_set(self) -> frozenset:
-        return frozenset(self.positive)
+        return not self.positive_set.isdisjoint((vector, tuple(-x for x in vector)))
 
     def to_json_obj(self) -> dict:
         return {"cartan": [list(r) for r in self.cartan],
@@ -104,7 +99,7 @@ def _closure(cartan: Matrix, moves, failure: str) -> dict[tuple[int, ...], list[
     which adds k times column i of C to the pairings.  A frontier still
     open after GENERATION_BOUND_FACTOR n^2 rounds raises failure."""
     n = len(cartan)
-    columns = _sparse_rows(zip(*cartan))
+    columns = [[(j, c) for j, c in enumerate(col) if c] for col in zip(*cartan)]
     found = {tuple(int(j == i) for j in range(n)): [row[i] for row in cartan]
              for i in range(n)}
     frontier = list(found.items())

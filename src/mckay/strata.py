@@ -29,9 +29,9 @@ vectors that fail the filter are mostly never built.
 from __future__ import annotations
 
 import itertools
-from operator import mul, sub
+from operator import sub
 
-from .quiver import CartanData, _sparse_rows
+from .quiver import CartanData
 from .record import Record, _set
 
 __all__ = [
@@ -155,7 +155,7 @@ def _check_lengths(cd: CartanData, *vectors: tuple[int, ...]) -> None:
 def cartan_apply(cd: CartanData, v) -> tuple[int, ...]:
     v = tuple(v)
     _check_lengths(cd, v)
-    return tuple(sum(map(mul, row, v)) for row in cd.cartan)
+    return tuple(sum(c * v[j] for j, c in row) for row in cd.sparse_cartan)
 
 
 def transported_framing(w, v0, cd: CartanData) -> tuple[int, ...] | None:
@@ -202,12 +202,12 @@ def _framed_v0s(n: int, w: tuple[int, ...], cd: CartanData
     """(sum(v0_i delta_i), v0) for every nonnegative v0 with that sum at
     most n and w - C v0 nonnegative, v0 in lexicographic order.  The walk
     fixes v0 one entry at a time and carries pair = w - C v0: a unit
-    added to v0_i lowers it by the sparse Cartan column i (C is
-    symmetric, so column i is row i).  Entry j of pair is final once v0
-    is fixed on j and on every neighbour of j, and a branch is dropped as
-    soon as a final entry is negative.  A branch whose points are spent
-    is finished with zeros at once."""
-    rows = _sparse_rows(cd.cartan)
+    added to v0_i lowers it by the sparse Cartan column
+    cd.sparse_cartan[i] (C is symmetric, so column i is row i).  Entry j
+    of pair is final once v0 is fixed on j and on every neighbour of j,
+    and a branch is dropped as soon as a final entry is negative.  A
+    branch whose points are spent is finished with zeros at once."""
+    rows = cd.sparse_cartan
     # final[i]: the entries of pair that are final once v0_i is fixed
     final: list[list[int]] = [[] for _ in rows]
     for j, row in enumerate(rows):

@@ -1,8 +1,15 @@
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import mckay
 from mckay import cache
 from mckay.cli import run
 from mckay.strata import enumerate_strata, enumerate_strata_rank1
@@ -316,27 +323,70 @@ def test_dimg_binary_icosahedral(capsys):
     assert json.loads(out) == {"dim_g": 248, "type": "E~8"}
 
 
+def _child_env(cache_dir, **extra) -> dict:
+    # the child imports the same package as this process, whether from a
+    # source checkout or an installed copy, and inherits nothing else
+    return {"MCKAY_CACHE": str(cache_dir), "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(Path(mckay.__file__).resolve().parent.parent), **extra}
+
+
+def _one_write_error_line(err: str) -> bool:
+    return (err.startswith("error: cannot write output: ") and err.count("\n") == 1
+            and "Traceback" not in err and "Exception ignored" not in err)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_pipe_closed_by_the_reader_exits_2_with_one_error_line(tmp_path, unbuffered):
+    # the 257 221 bytes of output outgrow a 64 KiB pipe buffer, so the
+    # writer meets the closed pipe with output left to write
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mckay", "group", "binary-icosahedral"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_child_env(tmp_path, PYTHONUNBUFFERED=unbuffered), cwd="/")
+    assert proc.stdout.read(10) == b'{\n  "spec"'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert _one_write_error_line(err), err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_full_device_on_stdout_exits_2_with_one_error_line(tmp_path, unbuffered):
+    # cyclic:3 prints less than a buffer, so buffered, its first failed
+    # write is the flush
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "mckay", "group", "cyclic:3"], stdout=full,
+            stderr=subprocess.PIPE, text=True,
+            env=_child_env(tmp_path, PYTHONUNBUFFERED=unbuffered), cwd="/", timeout=60)
+    assert result.returncode == 2
+    assert _one_write_error_line(result.stderr), result.stderr
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_failed_stdout_write_exits_2_in_process(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = run(["group", "cyclic:3"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 def test_output_is_byte_deterministic_across_processes(tmp_path):
     # separate interpreters get different hash seeds; any reliance on
     # dict/set iteration order would show up here.  Each seed computes
     # the table cold in its own cache, and a third run under the second
     # seed reads the first seed's cache entry.
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import mckay
-
-    # the child imports the same package as this process, whether from a
-    # source checkout or an installed copy, and inherits nothing else
-    package_root = Path(mckay.__file__).resolve().parent.parent
     cmd = [sys.executable, "-m", "mckay.cli", "chartab", "binary-tetrahedral"]
     runs = []
     for seed, cache_dir in (("1", "c1"), ("31337", "c2"), ("31337", "c1")):
-        env = {"MCKAY_CACHE": str(tmp_path / cache_dir),
-               "PATH": "/usr/bin:/bin",
-               "PYTHONHASHSEED": seed,
-               "PYTHONPATH": str(package_root)}
+        env = _child_env(tmp_path / cache_dir, PYTHONHASHSEED=seed)
         result = subprocess.run(cmd, capture_output=True, text=True, env=env,
                                 cwd="/")
         assert result.returncode == 0, result.stderr

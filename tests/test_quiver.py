@@ -202,6 +202,24 @@ def test_dot_output_shape():
     assert "(d=1)" in dot
 
 
+# the bench's catalog workload, then the largest accepted spec of each
+# infinite family
+SPARSE_SPECS = (ALL_SPECS[:-1] + ["cyclic:12", "cyclic:16", "cyclic:18",
+                                  "binary-dihedral:10", "binary-dihedral:16",
+                                  "cyclic:60", "binary-dihedral:57"])
+
+
+@pytest.mark.parametrize("text", SPARSE_SPECS)
+def test_sparse_cartan_holds_the_nonzero_entries_row_by_row(text):
+    _, _, cd = pipeline(text)
+    assert isinstance(cd.sparse_cartan, tuple)
+    assert len(cd.sparse_cartan) == cd.vertex_count
+    for row, sparse in zip(cd.cartan, cd.sparse_cartan):
+        assert isinstance(sparse, tuple)
+        assert sparse == tuple((j, c) for j, c in enumerate(row) if c)
+    hash(cd)
+
+
 def test_cartan_data_json_round_trip():
     _, _, cd = pipeline("binary-tetrahedral")
     assert CartanData.from_json_obj(cd.to_json_obj()) == cd

@@ -1,8 +1,6 @@
 """Value semantics of the package's immutable record classes: how they
 are built, compared, hashed and refused."""
 
-from functools import cached_property
-
 import pytest
 
 from mckay.chartab import CharacterTable
@@ -127,13 +125,13 @@ def test_defaults_are_kept():
     assert StratumLabel((0,), (), 1).candidate is False
 
 
-def test_positive_set_is_a_cached_property():
+def test_positive_set_is_a_field():
     system = root_system_for(pipeline("binary-dihedral:2")[2])
-    assert isinstance(RootSystem.__dict__["_positive_set"], cached_property)
-    assert system._positive_set is system._positive_set
-    assert system._positive_set == frozenset(system.positive)
+    assert "positive_set" in RootSystem.__slots__
+    assert system.positive_set == frozenset(system.positive)
     assert system.is_root(system.highest_root)
-    # the cache does not take part in equality or hashing
+    assert system.is_root(tuple(-x for x in system.highest_root))
+    # a second system from the same matrix derives an equal field
     fresh = RootSystem(system.cartan)
     assert fresh == system and hash(fresh) == hash(system)
 

@@ -107,6 +107,16 @@ def test_transported_framing_examples():
     assert transported_framing((1, 0), (1, 0), cd) is None
 
 
+def test_cartan_apply_is_the_dense_product():
+    rng = random.Random(7)
+    for text in ["cyclic:2", "cyclic:7", "binary-dihedral:4", "binary-icosahedral"]:
+        _, _, cd = pipeline(text)
+        for _ in range(50):
+            v = [rng.randrange(-6, 7) for _ in range(cd.vertex_count)]
+            assert cartan_apply(cd, v) == tuple(
+                sum(c * x for c, x in zip(row, v)) for row in cd.cartan)
+
+
 def test_transported_framing_preserves_level():
     rng = random.Random(11)
     for text in ["cyclic:4", "binary-dihedral:3", "binary-tetrahedral"]:
