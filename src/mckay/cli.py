@@ -11,6 +11,7 @@ spec over the class budget: it reads no cache and builds no group.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import os
@@ -286,12 +287,20 @@ def _glue_vectors(argv: list[str]) -> list[str]:
 
 def run(argv=None) -> int:
     parser = _build_parser()
+    # argparse prints --help here; it is written below, where a failed write exits 2
+    stdout, sys.stdout = sys.stdout, io.StringIO()
     try:
-        args = parser.parse_args(_glue_vectors(sys.argv[1:] if argv is None else list(argv)))
+        args, code = parser.parse_args(
+            _glue_vectors(sys.argv[1:] if argv is None else list(argv))), 0
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        args, code = None, exc.code if isinstance(exc.code, int) else 2
+    finally:
+        help_text, sys.stdout = sys.stdout.getvalue(), stdout
     try:
-        _dispatch(args)
+        if args is None:
+            sys.stdout.write(help_text)
+        else:
+            _dispatch(args)
         sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -304,7 +313,7 @@ def run(argv=None) -> int:
     except InternalError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return code
 
 
 def main() -> None:

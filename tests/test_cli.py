@@ -365,6 +365,42 @@ def test_a_full_device_on_stdout_exits_2_with_one_error_line(tmp_path, unbuffere
     assert _one_write_error_line(result.stderr), result.stderr
 
 
+def _closed_pipe() -> int:
+    """The write end of a pipe whose reader is gone."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("stdout", [
+    pytest.param("/dev/full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    "closed pipe"])
+@pytest.mark.parametrize("argv", [["--help"], ["char", "--help"]])
+def test_help_to_a_stdout_that_cannot_be_written_exits_2_with_one_error_line(
+        tmp_path, argv, stdout, unbuffered):
+    # argparse writes the help into a buffer, which run writes out
+    fd = _closed_pipe() if stdout == "closed pipe" else os.open(stdout, os.O_WRONLY)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "mckay", *argv], stdout=fd,
+            stderr=subprocess.PIPE, text=True,
+            env=_child_env(tmp_path, PYTHONUNBUFFERED=unbuffered), cwd="/", timeout=60)
+    finally:
+        os.close(fd)
+    assert result.returncode == 2
+    assert _one_write_error_line(result.stderr), result.stderr
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: mckay [-h]"),
+                                         (["char", "--help"], "usage: mckay char [-h]")])
+def test_help_is_written_to_stdout_and_exits_0(capsys, argv, usage):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith(usage)
+
+
 class _FullStdout(io.StringIO):
     def write(self, text):
         raise OSError(errno.ENOSPC, "No space left on device")
