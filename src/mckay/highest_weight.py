@@ -39,7 +39,8 @@ the imaginary multiples of delta carrying multiplicity rank.
 from __future__ import annotations
 
 import math
-from operator import le, sub
+from itertools import repeat
+from operator import add, and_, le, mul, rshift, sub
 
 from .cyclotomic import CycNumber
 from .errors import InvariantError
@@ -97,24 +98,25 @@ def _check_framing(w, cd: CartanData) -> tuple[int, ...]:
 def _window_roots(cd: CartanData, cap: tuple[int, ...], depth: int
                   ) -> list[tuple[tuple[int, ...], int]]:
     """Positive affine roots inside the window with their
-    multiplicities, sorted by height.  Each root s delta, s delta +- beta
-    dominates (s - 1) delta, so the shifts stop at the first multiple of
-    delta outside the window."""
-    def inside(v):
-        return all(map(le, v, cap)) and sum(v) <= depth
-
-    delta = cd.delta
-    finite = [unrestrict(cd, beta, 0) for beta in root_system_for(cd).positive]
-    candidates = [(beta, 1) for beta in finite]
-    shift = 1
-    while inside(tuple((shift - 1) * d for d in delta)):
-        base = tuple(shift * d for d in delta)
-        candidates.append((base, cd.rank))
-        for beta in finite:
-            candidates.append((tuple(b + x for b, x in zip(base, beta)), 1))
-            candidates.append((tuple(b - x for b, x in zip(base, beta)), 1))
-        shift += 1
-    roots = [(vec, mult) for vec, mult in candidates if inside(vec)]
+    multiplicities, sorted by height.  The roots beta, s delta and
+    s delta +- beta have heights h(beta), s h(delta) and s h(delta) +-
+    h(beta), with 0 < h(beta) < h(delta), so a candidate is built only
+    when its height is at most the depth, and then checked against the
+    cap; the shifts stop at the first s with (s - 1) h(delta) >= depth."""
+    delta, h_delta = cd.delta, sum(cd.delta)
+    finite = [(h, unrestrict(cd, beta, 0)) for beta in root_system_for(cd).positive
+              if (h := sum(beta)) <= depth or h >= h_delta - depth]
+    candidates = [(beta, 1) for h, beta in finite if h <= depth]
+    for shift in range(1, (depth - 1) // h_delta + 2):
+        base, height = tuple(shift * d for d in delta), shift * h_delta
+        if height <= depth:
+            candidates.append((base, cd.rank))
+        for h, beta in finite:
+            if height + h <= depth:
+                candidates.append((tuple(map(add, base, beta)), 1))
+            if height - h <= depth:
+                candidates.append((tuple(map(sub, base, beta)), 1))
+    roots = [(vec, mult) for vec, mult in candidates if all(map(le, vec, cap))]
     roots.sort(key=lambda item: (sum(item[0]), item[0]))
     return roots
 
@@ -125,30 +127,45 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
     v - k beta and each reflected drop lies lower, so it is final when
     it is read.  pair = w - C v, the weight's pairing with the simple
     coroots, is stepped from the parent's by the sparse Cartan column
-    cd.sparse_cartan[i] (C is symmetric, so column i is row i)."""
+    cd.sparse_cartan[i] (C is symmetric, so column i is row i).  The
+    frontier and the table are keyed by cap - v packed by _packing, so
+    v - beta stays nonnegative exactly when key + beta sets no top bit:
+    a root that does not fit below v costs one addition and one mask.
+    v itself is unpacked only at a dominant weight and for the result."""
     rows = cd.sparse_cartan
+    fields, bias, high = _packing(cap)
+    shifts, masks = zip(*fields)
+    units = [1 << shift for shift in shifts]
+
+    def drop(key):
+        return tuple(map(sub, cap, map(and_, map(rshift, repeat(key - bias), shifts), masks)))
+
+    # v + e_i stays under the cap unless field i of the key holds bias_i
+    steps = [(row, unit, mask * unit, bias & mask * unit)
+             for row, unit, mask in zip(rows, units, masks)]
     # C is symmetric, so (beta, weight at u) = beta . pair(u), and the
     # step u -> u - beta raises it by (beta, beta)
-    root_data = [(beta, mult, [(i, b) for i, b in enumerate(beta) if b],
+    root_data = [(sum(map(mul, beta, units)), mult, [(i, b) for i, b in enumerate(beta) if b],
                   sum(b * c * beta[j] for i, b in enumerate(beta) for j, c in rows[i]))
                  for beta, mult in _window_roots(cd, cap, depth)]
-    table: dict[tuple[int, ...], int] = {}
-    frontier = {(0,) * cd.vertex_count: list(w)}
+    table: dict[int, int] = {}
+    origin = sum(map(mul, cap, units)) + bias
+    frontier = {origin: w}
     height = 0
     while frontier:
         following = {}
-        for v, pair in frontier.items():
+        for key, pair in frontier.items():
             low = min(pair)
             if low < 0:
                 # multiplicities are Weyl invariant: reflect in a wall
-                # the weight lies beyond, to a smaller drop
+                # the weight lies beyond, to a smaller drop; one below 0
+                # sets a top bit, which no table key has
                 i = pair.index(low)
-                moved = list(v)
-                moved[i] += low
-                value = table.get(tuple(moved), 0) if moved[i] >= 0 else 0
-            elif not any(v):
+                value = table.get(key - low * units[i], 0) if -low <= cap[i] else 0
+            elif key == origin:
                 value = 1
             else:
+                v = drop(key)
                 denominator = sum(a * (wi + 2 + p)
                                   for a, wi, p in zip(v, w, pair))
                 if denominator <= 0:
@@ -156,16 +173,17 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
                         f"Freudenthal denominator {denominator} at dominant "
                         f"v={v}; bookkeeping is corrupt")
                 rhs = 0
-                for beta, mult, support, norm in root_data:
-                    steps = min(v[i] // b for i, b in support)
+                for packed, mult, support, norm in root_data:
+                    u = key + packed
+                    if u & high:
+                        continue  # beta does not fit below v
                     term = sum(b * pair[i] for i, b in support)
-                    u = v
-                    for _ in range(steps):
-                        u = tuple(map(sub, u, beta))
+                    while not u & high:
                         term += norm
                         m_u = table.get(u)
                         if m_u:
                             rhs += mult * m_u * term
+                        u += packed
                 rhs *= 2
                 if rhs % denominator:
                     raise InvariantError(f"non-integral multiplicity at v={v}")
@@ -174,18 +192,16 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
                     raise InvariantError(f"negative multiplicity at v={v}")
             if not value:
                 continue
-            table[v] = value
-            for i, row in enumerate(rows):
-                if height == depth or v[i] == cap[i]:
-                    continue
-                u = v[:i] + (v[i] + 1,) + v[i + 1:]
-                if u not in following:
-                    stepped = pair[:]
+            table[key] = value
+            for row, unit, field, floor in steps:
+                u = key - unit
+                if height < depth and key & field != floor and u not in following:
+                    stepped = list(pair)
                     for j, c in row:
                         stepped[j] -= c
-                    following[u] = stepped
+                    following[u] = tuple(stepped)
         frontier, height = following, height + 1
-    return table
+    return {drop(key): value for key, value in table.items()}
 
 
 def _packing(cap: tuple[int, ...]) -> tuple[list[tuple[int, int]], int, int]:

@@ -22,13 +22,14 @@ the library wraps them in StratumLabel, and the CLI writes their JSON
 from templates.  The partition lists of every free-orbit count are built
 once, from each other, and shared by every v0.  The framed v0 come from a
 walk that carries w - C v0 one Cartan column at a time and drops a branch
-as soon as an entry that no later step can change is negative, so the
-vectors that fail the filter are mostly never built.
+as soon as an entry is negative beyond what the later entries can add, so
+the vectors that fail the filter are mostly never built.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from operator import sub
 
 from .quiver import CartanData
@@ -203,15 +204,21 @@ def _framed_v0s(n: int, w: tuple[int, ...], cd: CartanData
     most n and w - C v0 nonnegative, v0 in lexicographic order.  The walk
     fixes v0 one entry at a time and carries pair = w - C v0: a unit
     added to v0_i lowers it by the sparse Cartan column
-    cd.sparse_cartan[i] (C is symmetric, so column i is row i).  Entry j
-    of pair is final once v0 is fixed on j and on every neighbour of j,
-    and a branch is dropped as soon as a final entry is negative.  A
-    branch whose points are spent is finished with zeros at once."""
-    rows = cd.sparse_cartan
-    # final[i]: the entries of pair that are final once v0_i is fixed
-    final: list[list[int]] = [[] for _ in rows]
+    cd.sparse_cartan[i] (C is symmetric, so column i is row i).  Once
+    v0_j is fixed, its unfixed neighbours k can only raise entry j, by at
+    most max |C_jk| rem / delta_k with rem the points left, so a branch
+    is dropped as soon as an entry is negative beyond that.  A branch
+    whose points are spent is finished with zeros at once."""
+    rows, delta = cd.sparse_cartan, cd.delta
+    # watch[i]: (j, a, b, falls) for each entry j that v0_i leaves open or
+    # final, a / b the largest |C_jk| / delta_k over its unfixed neighbours
+    # k (0 / 1 if none); falls when raising v0_i does not raise entry j
+    watch: list[list[tuple[int, int, int, bool]]] = [[] for _ in rows]
     for j, row in enumerate(rows):
-        final[max([j] + [k for k, _ in row])].append(j)
+        for i in range(j, row[-1][0] + 1):
+            a, b = max(((-c, delta[k]) for k, c in row if k > i),
+                       key=lambda ab: Fraction(*ab), default=(0, 1))
+            watch[i].append((j, a, b, dict(row).get(i, 0) >= 0))
     kept = []
     # depth first, the smallest next entry popped first
     stack = [((), n, list(w))]
@@ -219,16 +226,22 @@ def _framed_v0s(n: int, w: tuple[int, ...], cd: CartanData
         prefix, remaining, pair = stack.pop()
         i = len(prefix)
         if i == len(rows) or not remaining:
-            # v0 is zero from i on, so every entry of pair is final
-            if min(pair) >= 0:
-                kept.append((n - remaining, prefix + (0,) * (len(rows) - i)))
+            # v0 is zero from i on: the unfixed entries of pair only rose
+            # from w >= 0, and the others passed with no room left
+            kept.append((n - remaining, prefix + (0,) * (len(rows) - i)))
             continue
-        d = cd.delta[i]
-        children = []
-        for value in range(remaining // d + 1):
-            if all(pair[j] >= 0 for j in final[i]):
-                children.append((prefix + (value,), remaining - value * d, pair))
-            pair = pair[:]
+        d, children, value, rem = delta[i], [], 0, remaining
+        while True:
+            for j, a, b, falls in watch[i]:
+                if pair[j] < 0 and pair[j] + a * rem // b < 0:
+                    break
+            else:
+                children.append((prefix + (value,), rem, pair))
+                falls = False
+            # an entry that fails and falls fails for every larger v0_i
+            if falls or rem < d:
+                break
+            value, rem, pair = value + 1, rem - d, pair[:]
             for j, c in rows[i]:
                 pair[j] -= c
         stack.extend(reversed(children))

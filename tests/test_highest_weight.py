@@ -1,4 +1,4 @@
-from operator import add, le
+from operator import add, le, sub
 
 import pytest
 
@@ -9,7 +9,7 @@ from mckay.highest_weight import (MultiplicityTable, _freudenthal_core,
                                   _window_roots, drinfeld_polynomials,
                                   freudenthal, freudenthal_box, weylkac_box,
                                   weylkac_oracle)
-from mckay.roots import MVStatus, m_v_status
+from mckay.roots import MVStatus, m_v_status, root_system_for, unrestrict
 from mckay.strata import cartan_apply
 
 from conftest import lambda_0, pipeline
@@ -173,6 +173,32 @@ def test_denominator_identity_matches_the_root_multiplicities(text, depth):
     assert walked == product
 
 
+@pytest.mark.parametrize("text", ["cyclic:2", "binary-dihedral:2", "binary-tetrahedral",
+                                  "binary-octahedral", "binary-icosahedral"])
+def test_window_roots_are_every_candidate_inside_the_window(text):
+    # a filter of every candidate: the finite positives, and s delta and
+    # s delta +- beta for every shift s up to the depth; height windows
+    # just below, at and just above 0, h(delta) and 2 h(delta), and the
+    # boxes below delta and 2 delta
+    _, _, cd = pipeline(text)
+    n, h_delta = cd.vertex_count, sum(cd.delta)
+    finite = [unrestrict(cd, beta, 0) for beta in root_system_for(cd).positive]
+    windows = [((depth,) * n, depth) for s in range(3)
+               for depth in (s * h_delta - 1, s * h_delta, s * h_delta + 1) if depth >= 0]
+    windows += [(tuple(s * d for d in cd.delta), s * h_delta) for s in (1, 2)]
+    for cap, depth in windows:
+        candidates = [(beta, 1) for beta in finite]
+        for s in range(1, depth + 1):
+            base = tuple(s * d for d in cd.delta)
+            candidates.append((base, cd.rank))
+            candidates += [(tuple(map(add, base, beta)), 1) for beta in finite]
+            candidates += [(tuple(map(sub, base, beta)), 1) for beta in finite]
+        expected = sorted(((v, m) for v, m in candidates
+                           if all(map(le, v, cap)) and sum(v) <= depth),
+                          key=lambda item: (sum(item[0]), item[0]))
+        assert _window_roots(cd, cap, depth) == expected
+
+
 @pytest.mark.parametrize("text,w,cap,depth", [
     # boxes with cap entries 0, 1, 2^k - 1 and 2^k: a reflection whose
     # pairing is past cap_i would carry out of field i into the next
@@ -196,7 +222,16 @@ def test_denominator_identity_matches_the_root_multiplicities(text, depth):
     ("cyclic:3", (0, 2, 9), (4, 1, 8), 7),
     ("binary-dihedral:2", (2, 0, 0, 0, 0), (0, 1, 2, 3, 4), 6),
     ("binary-dihedral:2", (0, 5, 0, 3, 1), (7, 2, 4, 0, 8), 12),
-    ("binary-tetrahedral", (3, 0, 1, 0, 9, 0, 0), (8, 4, 1, 0, 3, 7, 2), 11)])
+    ("binary-tetrahedral", (3, 0, 1, 0, 9, 0, 0), (8, 4, 1, 0, 3, 7, 2), 11),
+    # large framings, where Freudenthal steps a root below a drop many
+    # times (up to 29 on A~1), each step one more addition to the key
+    ("cyclic:2", (9, 9), None, 40),
+    ("binary-dihedral:2", (5, 5, 5, 5, 5), None, 10),
+    # a root whose entry equals its cap, next to a cap-0 field: the step
+    # to 0 keeps the field's top bit clear, and the next one sets it
+    ("cyclic:2", (3, 1), (1, 0), None),
+    ("binary-dihedral:2", (3, 3, 3, 0, 3), (1, 1, 1, 0, 2), None),
+    ("binary-tetrahedral", (9, 0, 9, 0, 9, 0, 9), (1, 0, 1, 2, 0, 4, 3), None)])
 def test_weylkac_matches_freudenthal_where_the_packing_is_tight(text, w, cap,
                                                                  depth):
     _, _, cd = pipeline(text)

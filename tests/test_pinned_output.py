@@ -1,7 +1,7 @@
 """The stdout of the CLI, pinned in `golden.json`: each argv line, as
 written after `mckay`, maps to the sha256 of what it prints.  Section
 `tier1` holds the six spec commands on 23 small specs and four with 30
-to 60 classes, the README examples and three strata listings; the tests
+to 60 classes, the README examples and five strata listings; the tests
 here check it.  Section `ci` holds the six commands on the other 91
 accepted specs and the slow named lines.  Run as a script, the module
 checks both sections:
@@ -39,7 +39,11 @@ SCALE = ["cyclic:30", "cyclic:60", "binary-dihedral:30", "binary-dihedral:57"]
 STRATA = ["cyclic:2 --n 60",  # rank one, 28629 labels
           "cyclic:2 --n 40 --w 2,1",  # 19246 labels
           # 376 labels over 132 v0, 124 of them sharing sum(v0_i delta_i)
-          "binary-dihedral:2 --n 30 --w 1,1,1,1,1"]
+          "binary-dihedral:2 --n 30 --w 1,1,1,1,1",
+          # narrow quivers whose walk prunes on the bound of what later
+          # entries can add
+          "binary-dihedral:2 --n 12 --w 1,1,1,1,1",
+          "binary-dihedral:7 --n 16 --w 1,1,1,1,1,1,1,1,1,1"]
 
 
 class _Digest:

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import mckay.strata as strata
+from mckay.quiver import CartanData
 from mckay.strata import (FiberLabel, StratumLabel, cartan_apply,
                           enumerate_strata, enumerate_strata_rank1,
                           fiber_parts, partitions, transported_framing)
@@ -229,20 +230,39 @@ def test_strata_over_the_budget_are_refused():
         enumerate_strata(10 ** 6, (2,) + (0,) * 11, cd12)
 
 
-@pytest.mark.parametrize("text,n", [
-    ("cyclic:2", 6), ("cyclic:12", 2), ("binary-dihedral:5", 4),
-    ("binary-tetrahedral", 6), ("binary-icosahedral", 6)])
-def test_pruned_walk_keeps_what_the_framing_filter_keeps(text, n):
-    _, _, cd = pipeline(text)
+def _lifted_to_zero(n, w, v0, cd):
+    """Whether some prefix of v0 leaves an entry j of w - C v0 negative by
+    exactly the most its unfixed neighbours k can still add, max |C_jk|
+    rem // delta_k with rem the points the prefix leaves, and v0 then
+    lifts it back to exactly 0."""
+    final = transported_framing(w, v0, cd)
+    for i in range(len(v0)):
+        prefix = v0[:i + 1] + (0,) * (len(v0) - i - 1)
+        pair = tuple(a - b for a, b in zip(w, cartan_apply(cd, prefix)))
+        rem = n - sum(a * d for a, d in zip(prefix, cd.delta))
+        for j in range(i + 1):
+            reach = [-c * rem // cd.delta[k] for k, c in cd.sparse_cartan[j] if k > i]
+            if reach and pair[j] < 0 and pair[j] + max(reach) == 0 == final[j]:
+                return True
+    return False
+
+
+def _walk_matches_the_filter(cd, n):
+    """Compare the pruned walk with a brute-force filter on six framings,
+    each at weight 0 and n; return whether some kept v0 != 0 leaves an
+    entry of w - C v0 at exactly 0, and whether some kept v0 needs the
+    walk's bound on what later entries add to be exact, not one lower."""
     r, trivial = cd.vertex_count, cd.trivial_vertex
     framings = [tuple(2 * (i == trivial) for i in range(r)),
                 tuple(int(i in (trivial, r - 1)) for i in range(r)),
-                (1,) * r]
+                (1,) * r, (2,) * r,
+                # zeros next to nonzero entries
+                tuple(i % 2 for i in range(r)), tuple(2 * (i % 3 == 0) for i in range(r))]
     # (weight, v0) for every v0 of weight <= n, in lexicographic order
     bounded = [(used, v0)
                for v0 in itertools.product(*(range(n // d + 1) for d in cd.delta))
                if (used := sum(a * d for a, d in zip(v0, cd.delta))) <= n]
-    boundary = False
+    boundary = lifted = False
     for w in framings:
         for top in (0, n):
             expected = [(used, v0) for used, v0 in bounded
@@ -250,8 +270,27 @@ def test_pruned_walk_keeps_what_the_framing_filter_keeps(text, n):
             assert strata._framed_v0s(top, w, cd) == expected
             boundary |= any(0 in transported_framing(w, v0, cd)
                             for _, v0 in expected if any(v0))
-    # some kept v0 != 0 leaves an entry of w - C v0 at exactly 0
-    assert boundary
+            lifted |= any(_lifted_to_zero(top, w, v0, cd) for _, v0 in expected)
+    return boundary, lifted
+
+
+@pytest.mark.parametrize("text,n", [
+    ("cyclic:2", 6), ("cyclic:12", 2), ("binary-dihedral:2", 12), ("binary-dihedral:5", 4),
+    ("binary-tetrahedral", 6), ("binary-icosahedral", 6)])
+def test_pruned_walk_keeps_what_the_framing_filter_keeps(text, n):
+    _, _, cd = pipeline(text)
+    assert _walk_matches_the_filter(cd, n) == (True, True)
+
+
+def test_pruned_walk_bounds_by_the_later_neighbour_that_can_add_most():
+    # E~6 with the vertex of delta 2 next to the trivial vertex first: its
+    # later neighbours are the trivial vertex (delta 1) and the centre
+    # (delta 3), so rem points raise its entry by up to rem, not rem // 3
+    _, _, cd = pipeline("binary-tetrahedral")
+    order = (3, 0, 6, 1, 2, 4, 5)
+    reordered = CartanData(tuple(tuple(cd.adjacency[i][j] for j in order) for i in order),
+                           tuple(cd.delta[i] for i in order), order.index(cd.trivial_vertex))
+    assert _walk_matches_the_filter(reordered, 6) == (True, True)
 
 
 def test_labels_come_in_order_and_each_partition_count_is_listed_once():
