@@ -26,9 +26,9 @@ big.  One bound implies the other, so a window holds min(C(n + depth,
 n), prod(cap_i + 1)) vectors; one of more than WINDOW_BUDGET is refused
 up front.  Freudenthal walks the window height by height from v = 0,
 and only through the weights of the module: L(w) = U(n-) v_w, so each
-v != 0 with m(v) != 0 has some m(v - e_i) != 0, and the drops tried at
-height h + 1 are the v + e_i in the window over the v at height h with
-m(v) != 0.  All arithmetic is exact integers.
+v != 0 with m(v) != 0 has some m(v - e_i) != 0.  It tries v + e_i over
+a weight v only when the reflection of v + e_i in wall i, a lower drop,
+is already a weight.  All arithmetic is exact integers.
 
 The symmetric form is fixed by (Lambda_i, alpha_j) = delta_ij and
 (alpha_i, alpha_j) = C_ij, with rho = sum Lambda_i; positive affine
@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import add, and_, le, mul, rshift, sub
+from operator import add, and_, itemgetter, le, mul, rshift, sub
 
 from .cyclotomic import CycNumber
 from .errors import InvariantError
 from .quiver import CartanData
 from .record import Record, _set
-from .roots import root_system_for, unrestrict
+from .roots import root_system_for
 
 __all__ = [
     "MultiplicityTable",
@@ -104,7 +104,8 @@ def _window_roots(cd: CartanData, cap: tuple[int, ...], depth: int
     when its height is at most the depth, and then checked against the
     cap; the shifts stop at the first s with (s - 1) h(delta) >= depth."""
     delta, h_delta = cd.delta, sum(cd.delta)
-    finite = [(h, unrestrict(cd, beta, 0)) for beta in root_system_for(cd).positive
+    place = itemgetter(*cd.standard_labeling)
+    finite = [(h, place((0, *beta))) for beta in root_system_for(cd).positive
               if (h := sum(beta)) <= depth or h >= h_delta - depth]
     candidates = [(beta, 1) for h, beta in finite if h <= depth]
     for shift in range(1, (depth - 1) // h_delta + 2):
@@ -131,7 +132,9 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
     frontier and the table are keyed by cap - v packed by _packing, so
     v - beta stays nonnegative exactly when key + beta sets no top bit:
     a root that does not fit below v costs one addition and one mask.
-    v itself is unpacked only at a dominant weight and for the result."""
+    v itself is unpacked only at a dominant weight and for the result.
+    v + e_i joins the frontier only as a weight: when pair_i >= 1, or
+    when its reflection in wall i, v - (1 - pair_i) e_i, is in the table."""
     rows = cd.sparse_cartan
     fields, bias, high = _packing(cap)
     shifts, masks = zip(*fields)
@@ -141,12 +144,13 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
         return tuple(map(sub, cap, map(and_, map(rshift, repeat(key - bias), shifts), masks)))
 
     # v + e_i stays under the cap unless field i of the key holds bias_i
-    steps = [(row, unit, mask * unit, bias & mask * unit)
-             for row, unit, mask in zip(rows, units, masks)]
+    steps = [(row, unit, mask * unit, bias & mask * unit, limit)
+             for row, unit, mask, limit in zip(rows, units, masks, cap)]
     # C is symmetric, so (beta, weight at u) = beta . pair(u), and the
-    # step u -> u - beta raises it by (beta, beta)
-    root_data = [(sum(map(mul, beta, units)), mult, [(i, b) for i, b in enumerate(beta) if b],
-                  sum(b * c * beta[j] for i, b in enumerate(beta) for j, c in rows[i]))
+    # step u -> u - beta raises it by (beta, beta): 0 for s delta, the one
+    # root of height s h(delta) with s = beta_trivial, 2 for a real root
+    t, h_delta = cd.trivial_vertex, sum(cd.delta)
+    root_data = [(sum(map(mul, beta, units)), mult, beta, 2 * (sum(beta) != beta[t] * h_delta))
                  for beta, mult in _window_roots(cd, cap, depth)]
     table: dict[int, int] = {}
     origin = sum(map(mul, cap, units)) + bias
@@ -173,11 +177,11 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
                         f"Freudenthal denominator {denominator} at dominant "
                         f"v={v}; bookkeeping is corrupt")
                 rhs = 0
-                for packed, mult, support, norm in root_data:
+                for packed, mult, beta, norm in root_data:
                     u = key + packed
                     if u & high:
                         continue  # beta does not fit below v
-                    term = sum(b * pair[i] for i, b in support)
+                    term = sum(map(mul, beta, pair))
                     while not u & high:
                         term += norm
                         m_u = table.get(u)
@@ -188,14 +192,18 @@ def _freudenthal_core(w: tuple[int, ...], cd: CartanData, cap: tuple[int, ...],
                 if rhs % denominator:
                     raise InvariantError(f"non-integral multiplicity at v={v}")
                 value = rhs // denominator
-                if value < 0:
-                    raise InvariantError(f"negative multiplicity at v={v}")
-            if not value:
-                continue
+            if value <= 0:
+                raise InvariantError(f"multiplicity {value} at v={drop(key)} on the "
+                                     "frontier, which holds only weights")
             table[key] = value
-            for row, unit, field, floor in steps:
+            if height == depth:
+                continue
+            for p, (row, unit, field, floor, limit) in zip(pair, steps):
                 u = key - unit
-                if height < depth and key & field != floor and u not in following:
+                # v + e_i reflects in wall i to v - (1 - p) e_i; past cap_i
+                # (never, on a weight) its key could carry into field i + 1
+                if key & field != floor and u not in following and (
+                        p > 0 or 1 - p <= limit and key + (1 - p) * unit in table):
                     stepped = list(pair)
                     for j, c in row:
                         stepped[j] -= c

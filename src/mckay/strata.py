@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import sub
+from operator import itemgetter, sub
 
 from .quiver import CartanData
 from .record import Record, _set
@@ -267,7 +267,8 @@ def _list_strata(n: int, w, cd: CartanData
     and free-orbit count m, holding the partitions of m in lexicographic
     order, whose labels are (v0, lam, residual) for each lam.  The kept
     v0 are those of a nonnegative transported framing, walked by
-    _framed_v0s, ordered by (sum(v0_i delta_i), v0), and m runs down from
+    _framed_v0s in lexicographic order and sorted stably by sum(v0_i
+    delta_i), so ordered by (sum(v0_i delta_i), v0); m runs down from
     the most free orbits the remaining points hold; in rank one v0 = 0
     alone is kept.  Refused first when the v0 vectors plus the labels
     are more than STRATA_BUDGET: each kept v0 brings one label per
@@ -285,7 +286,7 @@ def _list_strata(n: int, w, cd: CartanData
         vectors, kept = 1, [(0, (0,) * cd.vertex_count)]
     else:
         vectors = _bounded_count(cd.delta, n)
-        kept = sorted(_framed_v0s(n, w, cd))
+        kept = sorted(_framed_v0s(n, w, cd), key=itemgetter(0))
     order = cd.group_order
     cut = min(n // order, _PARTITION_CUT)
     p = _coin_change(range(1, cut + 1), cut)

@@ -231,7 +231,15 @@ def test_window_roots_are_every_candidate_inside_the_window(text):
     # to 0 keeps the field's top bit clear, and the next one sets it
     ("cyclic:2", (3, 1), (1, 0), None),
     ("binary-dihedral:2", (3, 3, 3, 0, 3), (1, 1, 1, 0, 2), None),
-    ("binary-tetrahedral", (9, 0, 9, 0, 9, 0, 9), (1, 0, 1, 2, 0, 4, 3), None)])
+    ("binary-tetrahedral", (9, 0, 9, 0, 9, 0, 9), (1, 0, 1, 2, 0, 4, 3), None),
+    # deeply negative pairings: Freudenthal admits v + e_i only when its
+    # reflection v - (1 - pair_i) e_i is in the table, and most are not
+    ("cyclic:2", (9, 0), None, 60),
+    ("binary-dihedral:2", (6, 0, 0, 0, 0), None, 12),
+    # 1 - pair_i at cap_i next to a cap-0 field: the reflection is below
+    # 0, so its key sets a top bit and the neighbour is left out
+    ("cyclic:2", (5, 0), (0, 1), None),
+    ("binary-tetrahedral", (1, 0, 0, 1, 0, 0, 9), (2, 1, 0, 4, 2, 4, 8), None)])
 def test_weylkac_matches_freudenthal_where_the_packing_is_tight(text, w, cap,
                                                                  depth):
     _, _, cd = pipeline(text)

@@ -247,6 +247,15 @@ def _lifted_to_zero(n, w, v0, cd):
     return False
 
 
+def _bounded_v0s(delta, n):
+    """(weight, v0) for every v0 >= 0 of weight sum(v0_i delta_i) <= n, in
+    lexicographic order: each entry runs up to what the points left allow."""
+    if not delta:
+        return [(0, ())]
+    return [(a * delta[0] + used, (a,) + rest) for a in range(n // delta[0] + 1)
+            for used, rest in _bounded_v0s(delta[1:], n - a * delta[0])]
+
+
 def _walk_matches_the_filter(cd, n):
     """Compare the pruned walk with a brute-force filter on six framings,
     each at weight 0 and n; return whether some kept v0 != 0 leaves an
@@ -258,10 +267,7 @@ def _walk_matches_the_filter(cd, n):
                 (1,) * r, (2,) * r,
                 # zeros next to nonzero entries
                 tuple(i % 2 for i in range(r)), tuple(2 * (i % 3 == 0) for i in range(r))]
-    # (weight, v0) for every v0 of weight <= n, in lexicographic order
-    bounded = [(used, v0)
-               for v0 in itertools.product(*(range(n // d + 1) for d in cd.delta))
-               if (used := sum(a * d for a, d in zip(v0, cd.delta))) <= n]
+    bounded = _bounded_v0s(cd.delta, n)
     boundary = lifted = False
     for w in framings:
         for top in (0, n):
