@@ -4,9 +4,7 @@ One compact JSON file per group spec under the cache directory (the
 MCKAY_CACHE environment variable, or a per-user cache directory).
 Entries are {format_version, key, payload}; a stale format version or
 mismatched key is treated as a miss, and the next store overwrites it,
-since the file name does not carry the version.  Format versions 1 to
-3 put it there ({spec}.v3.json); a store removes those names of its
-spec, which nothing reads.  Writes are atomic.
+since the file name does not carry the version.  Writes are atomic.
 """
 
 from __future__ import annotations
@@ -63,8 +61,3 @@ def store(key: str, payload: dict) -> None:
         except OSError:
             pass
         raise
-    for version in (1, 2, 3):
-        try:
-            path.with_name(f"{path.stem}.v{version}.json").unlink()
-        except OSError:
-            pass  # usually absent; one that cannot be removed stays unread

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _prime_power_structure
 from .errors import InternalError
 from .groups import FiniteSubgroup, defining_character, read_value
 from .record import Record, _set
@@ -156,9 +156,7 @@ def pairings(table: CharacterTable, chis) -> tuple[tuple[tuple[int, ...], ...], 
     l1 = [max(sum(abs(c) for _, c in v.numerators) for v in row) for row in values]
     bound = max(l1[:k]) * max(l1[k:]) ** 2
     e = lcm(group.exponent, *(v.conductor for row in values for v in row))
-    p = _dixon_prime(2 * group.order * bound, e)
-    zeta = pow(_primitive_root(p), (p - 1) // e, p)
-    powers = [pow(zeta, t, p) for t in range(e)]
+    p, powers = _prime_field(2 * group.order * bound, e)
     # each distinct value is reduced once per map, then read off by index
     distinct = {}
     cells = [[distinct.setdefault(v, len(distinct)) for v in row] for row in values]
@@ -191,30 +189,22 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def _dixon_prime(threshold: int, modulus: int) -> int:
-    """Smallest prime p = 1 (mod modulus) above threshold."""
-    p = threshold // modulus * modulus + 1
+def _prime_field(threshold: int, e: int) -> tuple[int, list[int]]:
+    """The smallest prime p = 1 (mod e) above threshold, and the powers
+    zeta_e^t in F_p for t < e, zeta_e = g^((p-1)/e) with g the least
+    primitive root mod p."""
+    p = threshold // e * e + 1
     while p <= threshold or not _is_prime(p):
-        p += modulus
-    return p
+        p += e
+    primes = [q for q, *_ in _prime_power_structure(p - 1)]
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes))
+    zeta = pow(g, (p - 1) // e, p)
+    return p, [pow(zeta, t, p) for t in range(e)]
 
 
-def _primitive_root(p: int) -> int:
-    factors = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise CharacterSolverError(f"no primitive root mod {p}")
+def _split_field(group: FiniteSubgroup) -> tuple[int, list[int]]:
+    """The prime field of the Dixon split, p above 2 |G|^(3/2), e the exponent."""
+    return _prime_field(2 * isqrt(group.order ** 3), group.exponent)
 
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -331,8 +321,7 @@ def _lift_row(chi_fp: list[int], degree: int, power_classes: tuple[tuple[int, ..
 def character_table(group: FiniteSubgroup) -> CharacterTable:
     r = len(group.classes)
     order = group.order
-    e = group.exponent
-    p = _dixon_prime(2 * isqrt(order ** 3), e)
+    p, zeta_pows = _split_field(group)
 
     rng = random.Random(_SPLIT_SEED)
     for _ in range(_SPLIT_TRIES):
@@ -344,9 +333,6 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
             f"no seeded element separated the central characters in {_SPLIT_TRIES} draws")
 
     inv_sizes = [pow(s, -1, p) for s in group.class_sizes]
-
-    zeta_fp = pow(_primitive_root(p), (p - 1) // e, p)
-    zeta_pows = [pow(zeta_fp, t, p) for t in range(e)]
 
     rows = []
     for omega in omegas:

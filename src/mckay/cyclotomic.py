@@ -235,6 +235,10 @@ class CycNumber:
                 and self.conductor == other.conductor)
 
     def __hash__(self) -> int:
+        if self.conductor == 1:
+            # equal to an int or a Fraction, so hashed as that value is
+            c, d = self.numerators[0][1] if self.numerators else 0, self.denominator
+            return hash(c if d == 1 else Fraction(c, d))
         return hash((self.conductor, self.denominator, self.numerators))
 
     def sort_key(self) -> tuple:

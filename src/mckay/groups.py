@@ -63,45 +63,35 @@ class GroupConstructionError(InternalError):
 
 
 class GroupSpec(Record):
-    """One of the five families of finite subgroups of SL2(C)."""
+    """One of the five families of finite subgroups of SL2(C); family and
+    parameter give the order and the class count, the vertex count of
+    the affine diagram."""
 
-    __slots__ = ("family", "parameter")
+    __slots__ = ("family", "parameter", "order", "class_count")
 
     def __init__(self, family: str, parameter: int | None = None):
         _set(self, "family", family)
         _set(self, "parameter", parameter)
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; valid: {', '.join(FAMILIES)}")
-        if self.family == "cyclic":
-            if self.parameter is None or self.parameter < 2:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; valid: {', '.join(FAMILIES)}")
+        if family == "cyclic":
+            if parameter is None or parameter < 2:
                 raise ValueError("cyclic:n requires n >= 2")
-        elif self.family == "binary-dihedral":
-            if self.parameter is None or self.parameter < 2:
+            order, class_count = parameter, parameter
+        elif family == "binary-dihedral":
+            if parameter is None or parameter < 2:
                 raise ValueError("binary-dihedral:m requires m >= 2")
-        elif self.parameter is not None:
-            raise ValueError(f"{self.family} takes no parameter")
-        if self.class_count > CLASS_BUDGET:
-            raise ValueError(f"{self} has r = {self.class_count} conjugacy classes, "
+            order, class_count = 4 * parameter, parameter + 3
+        elif parameter is not None:
+            raise ValueError(f"{family} takes no parameter")
+        else:
+            order, class_count = {"binary-tetrahedral": (24, 7), "binary-octahedral": (48, 8),
+                                  "binary-icosahedral": (120, 9)}[family]
+        _set(self, "order", order)
+        _set(self, "class_count", class_count)
+        if class_count > CLASS_BUDGET:
+            raise ValueError(f"{self} has r = {class_count} conjugacy classes, "
                              f"above the class budget of {CLASS_BUDGET}")
-
-    @property
-    def order(self) -> int:
-        if self.family == "cyclic":
-            return self.parameter
-        if self.family == "binary-dihedral":
-            return 4 * self.parameter
-        return {"binary-tetrahedral": 24, "binary-octahedral": 48,
-                "binary-icosahedral": 120}[self.family]
-
-    @property
-    def class_count(self) -> int:
-        """Number of conjugacy classes = vertex count of the affine diagram."""
-        if self.family == "cyclic":
-            return self.parameter
-        if self.family == "binary-dihedral":
-            return self.parameter + 3
-        return {"binary-tetrahedral": 7, "binary-octahedral": 8,
-                "binary-icosahedral": 9}[self.family]
 
     @staticmethod
     def parse(text: str) -> GroupSpec:

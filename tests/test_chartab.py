@@ -239,14 +239,29 @@ def test_a_split_that_never_separates_is_refused(monkeypatch):
         chartab.character_table(group)
 
 
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("threshold,e,prime", [
+    (2628, 60, 3001), (25920, 60, 25981),  # binary-icosahedral: split, certificate
+    (928, 60, 1021), (69120, 60, 69481),   # cyclic:60: split, certificate
+    (16, 4, 17), (100, 7, 113), (0, 2, 3)])
+def test_the_prime_field_is_the_least_above_its_threshold(threshold, e, prime):
+    p, powers = chartab._prime_field(threshold, e)
+    assert p == prime and _is_prime(p) and p % e == 1 and p > threshold
+    assert not any(_is_prime(q) for q in range(threshold + 1, p) if q % e == 1)
+    # powers[1] = zeta_e has order exactly e: its e powers are distinct
+    assert powers == [pow(powers[1], t, p) for t in range(e)]
+    assert len(set(powers)) == e and pow(powers[1], e, p) == 1
+
+
 def _fp_rows(text):
     """The table of `text` in F_p, p and zeta as `character_table` picks
     them, with the arguments `_lift_row` takes after the row and degree."""
     group, table, _ = pipeline(text)
     e = group.exponent
-    p = chartab._dixon_prime(2 * isqrt(group.order ** 3), e)
-    zeta = pow(chartab._primitive_root(p), (p - 1) // e, p)
-    zeta_pows = [pow(zeta, t, p) for t in range(e)]
+    p, zeta_pows = chartab._split_field(group)
     rows = [[sum(c * zeta_pows[t * (e // v.conductor) % e] for t, c in v.numerators) % p
              for v in row] for row in table.values]
     return table, rows, (group.power_classes, zeta_pows, p)

@@ -671,19 +671,6 @@ def test_an_entry_of_another_version_is_overwritten_in_place(capsys, monkeypatch
     assert json.loads(path.read_text())["format_version"] == cache.FORMAT_VERSION
 
 
-def test_a_store_removes_the_versioned_names_of_its_spec(capsys):
-    """Format versions 1 to 3 named an entry {spec}.v{version}.json; a
-    store removes those names of its own spec and of no other."""
-    path = cache.entry_path("cyclic:3")
-    path.parent.mkdir(parents=True)
-    for version in (1, 2, 3):
-        path.with_name(f"cyclic-3.v{version}.json").write_text("{}")
-    other = path.with_name("cyclic-5.v3.json")
-    other.write_text("{}")
-    assert invoke(capsys, "quiver", "cyclic:3")[0] == 0
-    assert sorted(path.parent.iterdir()) == [path, other]
-
-
 def _runaway_conductor(payload):
     payload["chartab"]["values"][1][1] = {"N": 10**9 + 7, "terms": [[10**9 + 6, "1"]]}
 

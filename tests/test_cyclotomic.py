@@ -61,6 +61,17 @@ def test_rationals_have_conductor_one():
     assert x.conductor == 1 and x.rational_value() == Fraction(3, 4)
 
 
+@given(coefficients)
+def test_a_rational_value_hashes_as_the_number_it_equals(q):
+    for number in (q, q.numerator) if q.denominator == 1 else (q,):
+        x = CycNumber.coerce(number)
+        assert x == number and hash(x) == hash(number)
+        assert len({x, number}) == 1
+    # a rational reached through Q(zeta_3) is the same key
+    z = root_of_unity(3)
+    assert {(z + q) - z: 1}[q] == 1
+
+
 @given(cyc_numbers(), cyc_numbers(), cyc_numbers())
 def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mckay.cyclotomic import root_of_unity
-from mckay.groups import (CLASS_BUDGET, GroupConstructionError, GroupElement,
+from mckay.groups import (CLASS_BUDGET, FAMILIES, GroupConstructionError, GroupElement,
                           GroupSpec, build_group, defining_character,
                           _close_under_multiplication)
 
@@ -29,6 +30,36 @@ def test_spec_parsing_and_orders():
         with pytest.raises(ValueError, match=f"r = {CLASS_BUDGET + 1} conjugacy "
                            f"classes, above the class budget of {CLASS_BUDGET}"):
             GroupSpec.parse(refused)
+
+
+# a parametrized family, a separator and a parameter, or any string of
+# family names, separators and parameters; the parameters are signed,
+# small or of 20 digits, in ASCII, Arabic-Indic or fullwidth digits, all
+# of which int() reads, beside a superscript, which it does not
+_DIGITS = [str.maketrans("0123456789", digits) for digits in
+           ("0123456789", "٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９")]
+_SMALL, _LONG = st.integers(-3, 70), st.integers(-10**20, 10**20)
+_PARAMETER = st.builds(lambda n, digits: str(n).translate(digits),
+                       st.one_of(_SMALL, _LONG), st.sampled_from(_DIGITS))
+_SPEC_TEXT = st.one_of(
+    st.builds("{}{}{}".format, st.sampled_from(FAMILIES[:2]),
+              st.sampled_from([":", " : ", ":+"]), _PARAMETER),
+    st.lists(st.one_of(st.sampled_from([*FAMILIES, ":", " ", "²"]), _PARAMETER),
+             max_size=4).map("".join))
+
+
+@given(_SPEC_TEXT)
+def test_a_spec_text_is_refused_or_round_trips_with_its_order_and_class_count(text):
+    try:
+        spec = GroupSpec.parse(text)
+    except ValueError:
+        return
+    assert GroupSpec.parse(str(spec)) == spec
+    n = spec.parameter or 0
+    assert (spec.order, spec.class_count) == {
+        "cyclic": (n, n), "binary-dihedral": (4 * n, n + 3), "binary-tetrahedral": (24, 7),
+        "binary-octahedral": (48, 8), "binary-icosahedral": (120, 9)}[spec.family]
+    assert spec.class_count <= CLASS_BUDGET
 
 
 def test_cyclic_2_is_plus_minus_identity():

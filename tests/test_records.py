@@ -26,7 +26,8 @@ def _cases():
     system = root_system_for(cd)
     drinfeld = drinfeld_polynomials([[2, 3], [5]])
     return [
-        (GroupSpec, {"family": "cyclic", "parameter": 5}, ("family", "parameter")),
+        (GroupSpec, {"family": "cyclic", "parameter": 5},
+         ("family", "parameter", "order", "class_count")),
         (FiniteSubgroup, _fields_of(group, ("spec", "elements", "mult_table")),
          ("spec", "elements", "mult_table", "inverse_of", "element_orders", "exponent",
           "classes", "class_of", "class_reps", "power_classes")),
@@ -157,6 +158,14 @@ _A1 = ((0, 2), (2, 0))
 _TRIANGLE = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 _D4 = ((0, 1, 0, 0, 0), (1, 0, 1, 1, 1), (0, 1, 0, 0, 0), (0, 1, 0, 0, 0),
        (0, 1, 0, 0, 0))
+
+
+def test_order_and_class_count_follow_the_family_and_parameter():
+    assert [(spec.order, spec.class_count) for spec in (
+        GroupSpec("cyclic", 5), GroupSpec("binary-dihedral", 5),
+        GroupSpec("binary-tetrahedral"), GroupSpec("binary-octahedral"),
+        GroupSpec("binary-icosahedral"))] == [(5, 5), (20, 8), (24, 7), (48, 8), (120, 9)]
+    assert "order" in GroupSpec.__slots__ and "class_count" in GroupSpec.__slots__
 
 
 def test_vertex_count_follows_the_adjacency():
