@@ -84,17 +84,6 @@ class MultiplicityTable(Record):
 WINDOW_BUDGET = 1_000_000  # most drop vectors one window may hold
 
 
-def _check_framing(w, cd: CartanData) -> tuple[int, ...]:
-    w = tuple(w)
-    if len(w) != cd.vertex_count:
-        raise ValueError("framing length does not match the vertex count")
-    if any(x < 0 for x in w):
-        raise ValueError("framing entries must be nonnegative")
-    if not any(w):
-        raise ValueError("the framing must be nonzero")
-    return w
-
-
 def _window_roots(cd: CartanData, cap: tuple[int, ...], depth: int
                   ) -> list[tuple[tuple[int, ...], int]]:
     """Positive affine roots inside the window with their
@@ -308,17 +297,15 @@ def _table(core, w, cd: CartanData, depth, cap) -> MultiplicityTable:
             raise ValueError("depth must be nonnegative")
         bound, height = (depth,) * n, depth
     else:
-        cap = tuple(cap)
-        if len(cap) != n:
-            raise ValueError(f"cap must have {n} entries, got {len(cap)}")
-        if any(c < 0 for c in cap):
-            raise ValueError("cap entries must be nonnegative")
-        bound, height = cap, sum(cap)
+        cap = bound = cd.vertex_vector(cap, "cap")
+        height = sum(cap)
     size = min(math.comb(n + height, n), math.prod(c + 1 for c in bound))
     if size > WINDOW_BUDGET:
         raise ValueError(f"the window holds {size} drop vectors, "
                          f"more than the budget of {WINDOW_BUDGET}")
-    w = _check_framing(w, cd)
+    w = cd.vertex_vector(w, "framing")
+    if not any(w):
+        raise ValueError("the framing must be nonzero")
     return MultiplicityTable(framing=w, depth=depth, cap=cap,
                              entries=core(w, cd, bound, height))
 

@@ -98,6 +98,15 @@ class CartanData(Record):
     def group_order(self) -> int:
         return sum(d * d for d in self.delta)
 
+    def vertex_vector(self, x, name: str) -> tuple[int, ...]:
+        """x as a tuple, refused unless it has one nonnegative entry per
+        vertex: the one check of every framing, cap and dimension vector."""
+        x = tuple(x)
+        if len(x) != self.vertex_count or min(x) < 0:
+            raise ValueError(f"{name} must have {self.vertex_count} entries, "
+                             "one per vertex, componentwise nonnegative")
+        return x
+
     def to_json_obj(self) -> dict:
         return {
             "vertex_count": self.vertex_count,

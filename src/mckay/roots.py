@@ -184,9 +184,7 @@ def m_v_status(v, cd: CartanData) -> MVStatus:
     """Classify the fixed-point component of a dimension vector with
     trivial multiplicity 1: the minimal resolution at delta, otherwise
     a single point or empty according to the root dichotomy."""
-    v = tuple(v)
-    if len(v) != cd.vertex_count or min(v) < 0:
-        raise ValueError("dimension vector must be nonnegative on every vertex")
+    v = cd.vertex_vector(v, "v")
     if v[cd.trivial_vertex] != 1:
         raise ValueError("the component trichotomy is only defined for "
                          "trivial multiplicity 1")

@@ -146,36 +146,32 @@ def enumerate_strata_rank1(n: int, cd: CartanData) -> list[StratumLabel]:
     return _labels(_list_strata(n, None, cd))
 
 
-def _check_lengths(cd: CartanData, *vectors: tuple[int, ...]) -> None:
-    for x in vectors:
-        if len(x) != cd.vertex_count:
-            raise ValueError(f"each vector must have {cd.vertex_count} entries, "
-                             "one per vertex")
-
-
 def cartan_apply(cd: CartanData, v) -> tuple[int, ...]:
+    """C v, for any integer vector v on the vertices."""
     v = tuple(v)
-    _check_lengths(cd, v)
+    if len(v) != cd.vertex_count:
+        raise ValueError(f"v must have {cd.vertex_count} entries, one per vertex")
     return tuple(sum(c * v[j] for j, c in row) for row in cd.sparse_cartan)
 
 
 def transported_framing(w, v0, cd: CartanData) -> tuple[int, ...] | None:
     """w - C v0 when componentwise nonnegative, else None: the fiber of
     the locally-free part at the origin must be a representation."""
-    w = tuple(w)
-    _check_lengths(cd, w)
-    moved = tuple(map(sub, w, cartan_apply(cd, v0)))
+    moved = tuple(map(sub, cd.vertex_vector(w, "w"),
+                      cartan_apply(cd, cd.vertex_vector(v0, "v0"))))
     return moved if min(moved) >= 0 else None
 
 
 def fiber_parts(v, w, v0, lam, cd: CartanData) -> FiberLabel:
     """Fiber bookkeeping from raw pieces: the residual Lagrangian label
     v - v0 - m*delta with the transported framing, and one punctual
-    factor per partition part.  v, w and v0 must be nonnegative."""
-    v, w, v0, lam = tuple(v), tuple(w), tuple(v0), tuple(lam)
-    _check_lengths(cd, v, w, v0)
-    if min(v + w + v0) < 0:
-        raise ValueError("v, w and v0 must be componentwise nonnegative")
+    factor per partition part, in descending order.  v, w and v0 must be
+    nonnegative, and the parts of lam positive."""
+    v, w, v0 = (cd.vertex_vector(x, name)
+                for x, name in ((v, "v"), (w, "w"), (v0, "v0")))
+    lam = tuple(sorted(lam, reverse=True))
+    if any(part <= 0 for part in lam):
+        raise ValueError("lam parts must be positive integers")
     m = sum(lam)
     lagrangian = tuple(a - b - m * d for a, b, d in zip(v, v0, cd.delta))
     return FiberLabel(lagrangian, transported_framing(w, v0, cd), lam)
@@ -279,9 +275,7 @@ def _list_strata(n: int, w, cd: CartanData
     if n < 0:
         raise ValueError("n must be nonnegative")
     rank_one = tuple(int(i == cd.trivial_vertex) for i in range(cd.vertex_count))
-    w = rank_one if w is None else tuple(w)
-    if len(w) != cd.vertex_count or min(w) < 0:
-        raise ValueError("framing must be a nonnegative vector on the vertices")
+    w = rank_one if w is None else cd.vertex_vector(w, "framing")
     if w == rank_one:
         vectors, kept = 1, [(0, (0,) * cd.vertex_count)]
     else:

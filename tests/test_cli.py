@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mckay
 from mckay import cache
@@ -240,15 +241,15 @@ def test_drinfeld_eigs_starting_with_a_minus_sign_in_both_spellings(capsys, eigs
 
 @pytest.mark.parametrize("argv,message", [
     (["char", "cyclic:3", "--depth", "1", "--hw", "-1,0,0"],
-     "framing entries must be nonnegative"),
+     "framing must have 3 entries, one per vertex, componentwise nonnegative"),
     (["strata", "cyclic:3", "--n", "3", "--w", "-1,0,0"],
-     "framing must be a nonnegative vector on the vertices"),
+     "framing must have 3 entries, one per vertex, componentwise nonnegative"),
     (["fiber", "cyclic:3", "--w", "1,0,0", "--v0", "0,0,0", "--v", "-1,1,1"],
-     "v, w and v0 must be componentwise nonnegative"),
+     "v must have 3 entries, one per vertex, componentwise nonnegative"),
     (["fiber", "cyclic:3", "--v", "1,1,1", "--v0", "0,0,0", "--w", "-1,0,0"],
-     "v, w and v0 must be componentwise nonnegative"),
+     "w must have 3 entries, one per vertex, componentwise nonnegative"),
     (["fiber", "cyclic:3", "--v", "1,1,1", "--w", "1,0,0", "--v0", "-1,0,0"],
-     "v, w and v0 must be componentwise nonnegative"),
+     "v0 must have 3 entries, one per vertex, componentwise nonnegative"),
 ], ids=["char-hw", "strata-w", "fiber-v", "fiber-w", "fiber-v0"])
 def test_a_negative_vector_after_a_space_is_read_as_a_value(capsys, argv, message):
     *head, option, value = argv
@@ -256,6 +257,74 @@ def test_a_negative_vector_after_a_space_is_read_as_a_value(capsys, argv, messag
         code, out, err = invoke(capsys, *spelling)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+
+# The vector inputs of the exit-code contract: lists of the right length
+# (mostly) or of 0 to 10 entries on specs of 2 to 7 vertices, entries
+# that are small or 20 digits long, one of them negative in some lists,
+# and texts that are empty or no integer list.  Caps, until every
+# accepted window and listing has a stated time: specs of at most 7
+# classes, --depth at most 4, --n at most 6.
+_ENTRY = st.one_of(st.integers(0, 3), st.integers(10 ** 19, 10 ** 20 - 1))
+_OTHER_TEXT = st.sampled_from(["", " ", ",", "1,,2", "x", "1.5"])
+_VERTICES = {"cyclic:2": 2, "cyclic:3": 3, "cyclic:5": 5, "binary-dihedral:2": 5,
+             "binary-tetrahedral": 7}
+
+
+@st.composite
+def _vector_argv(draw):
+    """An argv and whether the library accepts it: when each vertex vector
+    has one nonnegative entry per vertex, a framing for char is nonzero,
+    the parts of --lam are positive, and --depth and --n are not negative."""
+    spec = draw(st.sampled_from(sorted(_VERTICES)))
+    r = _VERTICES[spec]
+
+    def vector(option, sizes):
+        """[option, text] and the integers the text reads as, or None."""
+        kind = draw(st.sampled_from(["list"] * 4 + ["negative", "other"]))
+        if kind == "other":
+            text = draw(_OTHER_TEXT)
+            return [option, text], [] if text.strip() == "" else None
+        size = draw(sizes)
+        values = draw(st.lists(_ENTRY, min_size=size, max_size=size))
+        if kind == "negative" and values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.integers(-3, -1))
+        return [option, ",".join(map(str, values))], values
+
+    def vertex_vector(option):
+        argv, values = vector(option, st.one_of(*[st.just(r)] * 3, st.integers(0, 10)))
+        return argv, values is not None and len(values) == r and min(values) >= 0, values
+
+    command = draw(st.sampled_from(["char", "strata", "fiber"]))
+    if command == "char":
+        hw, fits, values = vertex_vector("--hw")
+        depth = draw(st.integers(-1, 4))
+        return ["char", spec, *hw, "--depth", str(depth)], fits and any(values) and depth >= 0
+    if command == "strata":
+        n = draw(st.integers(-1, 6))
+        w, fits, _ = vertex_vector("--w") if draw(st.booleans()) else ([], True, None)
+        return ["strata", spec, "--n", str(n), *w], fits and n >= 0
+    argv, accepted = ["fiber", spec], True
+    for option in ("--v", "--w", "--v0"):
+        vec, fits, _ = vertex_vector(option)
+        argv, accepted = argv + vec, accepted and fits
+    lam_argv, lam = vector("--lam", st.integers(0, 4))
+    return argv + lam_argv, accepted and lam is not None and min(lam, default=1) > 0
+
+
+# one scratch MCKAY_CACHE (isolated_cache) serves every example
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_vector_argv())
+def test_a_vector_input_exits_0_or_2_with_one_error_line(capsys, drawn):
+    argv, accepted = drawn
+    code, out, err = invoke(capsys, *argv)
+    assert code == (0 if accepted else 2)
+    if accepted:
+        json.loads(out)
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("eigs,message", [

@@ -8,6 +8,9 @@ from mckay.quiver import (CartanData, ClassificationError, _delete_vertex,
                           classify_ade, expected_ade_type, matrix_determinant,
                           reference_affine, to_dot)
 from mckay.groups import GroupSpec
+from mckay.highest_weight import freudenthal, freudenthal_box, weylkac_box, weylkac_oracle
+from mckay.roots import m_v_status
+from mckay.strata import enumerate_strata, fiber_parts, transported_framing
 
 from conftest import pipeline
 
@@ -257,3 +260,34 @@ def test_cartan_data_checks_the_shape_before_indexing(adjacency, delta, trivial,
     # each of these used to raise IndexError
     with pytest.raises(InvariantError, match=message):
         CartanData(adjacency, delta, trivial)
+
+
+@pytest.mark.parametrize("x", [(), (1, 0), (1, 0, 0, 0), (1, -1, 0), (-1, -1, -1)])
+def test_a_vertex_vector_has_one_nonnegative_entry_per_vertex(x):
+    _, _, cd = pipeline("cyclic:3")
+    with pytest.raises(ValueError) as refusal:
+        cd.vertex_vector(x, "x")
+    assert str(refusal.value) == ("x must have 3 entries, one per vertex, "
+                                  "componentwise nonnegative")
+    assert cd.vertex_vector(iter([0, 2, 1]), "x") == (0, 2, 1)
+
+
+def test_every_library_entry_refuses_a_vertex_vector_by_its_name():
+    _, _, cd = pipeline("cyclic:3")
+    ok, bad = (1, 0, 0), (1, -1, 0)
+    for call, name in [
+            (lambda x: freudenthal(x, cd, 2), "framing"),
+            (lambda x: weylkac_oracle(x, cd, 2), "framing"),
+            (lambda x: freudenthal_box(ok, cd, x), "cap"),
+            (lambda x: weylkac_box(ok, cd, x), "cap"),
+            (lambda x: enumerate_strata(3, x, cd), "framing"),
+            (lambda x: fiber_parts(x, ok, ok, (), cd), "v"),
+            (lambda x: fiber_parts(ok, x, ok, (), cd), "w"),
+            (lambda x: fiber_parts(ok, ok, x, (), cd), "v0"),
+            (lambda x: transported_framing(x, ok, cd), "w"),
+            (lambda x: transported_framing(ok, x, cd), "v0"),
+            (lambda x: m_v_status(x, cd), "v")]:
+        for x in (bad, ok[:2]):
+            with pytest.raises(ValueError, match=f"^{name} must have 3 entries, one per "
+                               "vertex, componentwise nonnegative$"):
+                call(x)

@@ -169,6 +169,19 @@ def test_negative_vectors_are_refused(v, w, v0):
         fiber_parts(v, w, v0, (), cd)
 
 
+@pytest.mark.parametrize("lam", [(0,), (-1,), (2, 0), (1, -3)])
+def test_partition_parts_that_are_not_positive_are_refused(lam):
+    _, _, cd = pipeline("cyclic:3")
+    with pytest.raises(ValueError, match="lam parts must be positive integers"):
+        fiber_parts((1, 1, 1), (1, 0, 0), (0, 0, 0), lam, cd)
+
+
+def test_fiber_parts_lists_the_punctual_parts_in_descending_order():
+    _, _, cd = pipeline("cyclic:3")
+    fiber = fiber_parts((1, 1, 1), (1, 0, 0), (0, 0, 0), (1, 3, 2), cd)
+    assert fiber.punctual_parts == (3, 2, 1)
+
+
 @pytest.mark.parametrize("v,w,v0", [
     ((1,), (1, 0, 0), (0, 0, 0)),
     ((1, 0, 0), (1, 0, 0, 5), (0, 0, 0)),
