@@ -11,7 +11,7 @@ fixed-point sets.
 
 from .chartab import CharacterTable, character_table, inner_product
 from .cyclotomic import CycNumber, root_of_unity
-from .errors import InternalError, InvariantError
+from .errors import InvariantError
 from .groups import (FiniteSubgroup, GroupElement, GroupSpec, build_group,
                      defining_character)
 from .highest_weight import (DrinfeldData, MultiplicityTable,
@@ -27,7 +27,7 @@ from .strata import (FiberLabel, StratumLabel, cartan_apply,
 
 __all__ = [
     "CharacterTable", "character_table", "inner_product", "CycNumber",
-    "root_of_unity", "InternalError", "InvariantError", "FiniteSubgroup",
+    "root_of_unity", "InvariantError", "FiniteSubgroup",
     "GroupElement", "GroupSpec", "build_group", "defining_character",
     "DrinfeldData", "MultiplicityTable", "drinfeld_polynomials",
     "freudenthal", "freudenthal_box", "weylkac_box", "weylkac_oracle",

@@ -26,16 +26,11 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .cyclotomic import CycNumber, _prime_power_structure
-from .errors import InternalError
+from .errors import InvariantError
 from .groups import FiniteSubgroup, defining_character, read_value
 from .record import Record, _set
 
-__all__ = ["CharacterTable", "CharacterSolverError", "character_table", "inner_product",
-           "pairings"]
-
-
-class CharacterSolverError(InternalError):
-    """Class-algebra diagonalization or verification failed."""
+__all__ = ["CharacterTable", "character_table", "inner_product", "pairings"]
 
 
 class CharacterTable(Record):
@@ -58,10 +53,10 @@ class CharacterTable(Record):
         _set(self, "values", values)
         one = CycNumber.coerce(1)
         if any(v != one for v in values[0]):
-            raise CharacterSolverError("trivial character row is missing")
+            raise InvariantError("trivial character row is missing")
         if not all(row[0].is_integer() and row[0].rational_value() > 0
                    for row in values):
-            raise CharacterSolverError("a degree is not a positive integer")
+            raise InvariantError("a degree is not a positive integer")
         _set(self, "degrees", tuple(int(row[0].rational_value()) for row in values))
         _set(self, "class_sizes", group.class_sizes)
         _set(self, "defining_values", defining_character(group))
@@ -71,7 +66,7 @@ class CharacterTable(Record):
         r = self.n_classes
         rows, adjacency = pairings(self, (self.values[0], self.defining_values))
         if rows != tuple(tuple(int(i == j) for j in range(r)) for i in range(r)):
-            raise CharacterSolverError("character rows are not orthonormal")
+            raise InvariantError("character rows are not orthonormal")
         _set(self, "mckay_adjacency", adjacency)
 
     @property
@@ -98,8 +93,8 @@ class CharacterTable(Record):
         table = CharacterTable(group, tuple(
             tuple(read_value(v, group.order, seen) for v in row) for row in obj["values"]))
         if json.dumps(table.to_json_obj()) != json.dumps(obj):
-            raise CharacterSolverError("stored spec, row order, degrees, class sizes, defining "
-                                       "values or JSON integers differ from the rebuilt table")
+            raise InvariantError("stored spec, row order, degrees, class sizes, defining "
+                                 "values or JSON integers differ from the rebuilt table")
         return table
 
 
@@ -152,7 +147,7 @@ def pairings(table: CharacterTable, chis) -> tuple[tuple[tuple[int, ...], ...], 
     if len(values) != r + k or any(len(row) != r for row in values):
         raise ValueError("class function length does not match the class count")
     if any(v.denominator != 1 for row in values for v in row):
-        raise CharacterSolverError("a character value has a non-integer coefficient")
+        raise InvariantError("a character value has a non-integer coefficient")
     l1 = [max(sum(abs(c) for _, c in v.numerators) for v in row) for row in values]
     bound = max(l1[:k]) * max(l1[k:]) ** 2
     e = lcm(group.exponent, *(v.conductor for row in values for v in row))
@@ -169,8 +164,8 @@ def pairings(table: CharacterTable, chis) -> tuple[tuple[tuple[int, ...], ...], 
     for u, rows in images.items():
         moved = [classes[u % len(classes)] for classes in group.power_classes]
         if any(row != [first[c] for c in moved] for row, first in zip(rows, images[1])):
-            raise CharacterSolverError("a class function is not Galois-equivariant: "
-                                       "chi(g^u) and sigma_u(chi(g)) differ mod P")
+            raise InvariantError("a class function is not Galois-equivariant: "
+                                 "chi(g^u) and sigma_u(chi(g)) differ mod P")
     inv_order = pow(group.order, -1, p)
     conj = [[s * inv_order * x % p for s, x in zip(table.class_sizes, row)]
             for row in images[e - 1][k:]]
@@ -179,7 +174,7 @@ def pairings(table: CharacterTable, chis) -> tuple[tuple[tuple[int, ...], ...], 
                                          for row in images[1][k:]))
                      for chi in images[1][:k])
     if any(a > bound for matrix in matrices for row in matrix for a in row):
-        raise CharacterSolverError("a character pairing is not an integer in [0, B]")
+        raise InvariantError("a character pairing is not an integer in [0, B]")
     return matrices
 
 
@@ -310,7 +305,7 @@ def _lift_row(chi_fp: list[int], degree: int, power_classes: tuple[tuple[int, ..
                 mults[t] = m % p * inv_o % p
         total = sum(mults.values())
         if total != degree:
-            raise CharacterSolverError(
+            raise InvariantError(
                 f"eigenvalue multiplicities sum to {total}, expected {degree}")
         for k in range(o):
             if gcd(k, o) == 1 and values[powers[k]] is None:
@@ -329,7 +324,7 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
         if omegas is not None:
             break
     else:
-        raise CharacterSolverError(
+        raise InvariantError(
             f"no seeded element separated the central characters in {_SPLIT_TRIES} draws")
 
     inv_sizes = [pow(s, -1, p) for s in group.class_sizes]
@@ -340,13 +335,13 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
         norm = sum(omega[c] * omega[group.power_classes[c][-1]] * inv_sizes[c]
                    for c in range(r)) % p
         if norm == 0:
-            raise CharacterSolverError("degenerate central character norm")
+            raise InvariantError("degenerate central character norm")
         degree_sq = order * pow(norm, -1, p) % p
         # unique: two such d sum to at most 2 sqrt|G| < p
         degree = next((d for d in range(1, isqrt(order) + 1)
                        if d * d % p == degree_sq), None)
         if degree is None:
-            raise CharacterSolverError("no degree d <= sqrt|G| has d^2 = |G|/norm mod p")
+            raise InvariantError("no degree d <= sqrt|G| has d^2 = |G|/norm mod p")
         # chi(g) = d * omega(g) / |C(g)| in F_p
         chi_fp = [degree * omega[c] % p * inv_sizes[c] % p for c in range(r)]
         rows.append(tuple(_lift_row(chi_fp, degree, group.power_classes, zeta_pows, p)))

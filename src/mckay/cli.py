@@ -4,8 +4,9 @@ Every subcommand emits deterministic JSON on stdout (DOT for
 `quiver --dot`); diagnostics go to stderr.  Exit codes: 0 success,
 2 usage error (bad arguments, an unknown group spec or one above the
 class budget, a window or strata listing over its budget) or stdout
-not writable, 1 internal invariant failure.  `GroupSpec` refuses a
-spec over the class budget: it reads no cache and builds no group.
+not writable, 1 an invariant failure (`InvariantError`).  `GroupSpec`
+refuses a spec over the class budget: it reads no cache and builds no
+group.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import lcm
 from . import cache
 from .chartab import CharacterTable, character_table
 from .cyclotomic import CycNumber, root_of_unity
-from .errors import InternalError
+from .errors import InvariantError
 from .groups import CLASS_BUDGET, FiniteSubgroup, GroupSpec, build_group
 from .highest_weight import drinfeld_polynomials, freudenthal, weylkac_oracle
 from .quiver import CartanData, mckay_quiver, to_dot
@@ -49,7 +50,7 @@ def load_pipeline(spec: GroupSpec, use_cache: bool = True
             table = CharacterTable.from_json_obj(payload["chartab"], group)
             return group, table, mckay_quiver(table)
         except (LookupError, TypeError, ValueError, AttributeError,
-                ArithmeticError, InternalError):
+                ArithmeticError, InvariantError):
             pass  # a damaged entry, or one that does not verify
     table = character_table(group)
     if use_cache:
@@ -250,8 +251,8 @@ def _dispatch(args) -> None:
         if args.oracle:
             table_k = weylkac_oracle(w, cartan, args.depth)
             if table_f != table_k:
-                raise InternalError("freudenthal and the character series "
-                                    "disagree; this is a bug")
+                raise InvariantError("freudenthal and the character series "
+                                     "disagree; this is a bug")
         _emit(_multiplicity_json(table_f))
     elif args.command == "strata":
         w = None if args.w is None else _parse_int_vector(args.w, "w")
@@ -302,7 +303,7 @@ def run(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except InternalError as exc:
+    except InvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 1
     return code

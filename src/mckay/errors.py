@@ -1,14 +1,11 @@
-"""Shared exception hierarchy.
+"""The one exception of a failed invariant.
 
-InternalError marks conditions that are impossible for valid catalog
-input; hitting one means an upstream computation is corrupt, and the
-CLI maps it to exit code 1 (as opposed to usage errors, exit code 2).
+InvariantError marks conditions that are impossible for valid catalog
+input; hitting one means an upstream computation or a stored entry is
+corrupt, and the CLI maps it to exit code 1 (as opposed to usage
+errors, exit code 2).
 """
 
 
-class InternalError(RuntimeError):
-    """An internal invariant failed; upstream data is corrupt."""
-
-
-class InvariantError(InternalError):
-    """A verified mathematical invariant does not hold."""
+class InvariantError(RuntimeError):
+    """A verified invariant does not hold; upstream data is corrupt."""

@@ -25,14 +25,13 @@ from math import lcm
 from operator import itemgetter
 
 from .cyclotomic import CycNumber, root_of_unity
-from .errors import InternalError
+from .errors import InvariantError
 from .record import Record, _set
 
 __all__ = [
     "GroupSpec",
     "GroupElement",
     "FiniteSubgroup",
-    "GroupConstructionError",
     "build_group",
     "defining_character",
     "read_value",
@@ -56,10 +55,6 @@ FAMILIES = (
     "binary-octahedral",
     "binary-icosahedral",
 )
-
-
-class GroupConstructionError(InternalError):
-    """Group closure or validation failed; signals wrong generators."""
 
 
 class GroupSpec(Record):
@@ -231,19 +226,19 @@ class FiniteSubgroup(Record):
         table = mult_table
         n = len(elements)
         if n != spec.order or elements[0] != IDENTITY:
-            raise GroupConstructionError(f"{spec}: {n} elements, expected "
-                                         f"{spec.order}, identity first")
+            raise InvariantError(f"{spec}: {n} elements, expected "
+                                 f"{spec.order}, identity first")
         span = set(range(n))
         if len(table) != n or any(len(line) != n or set(line) != span
                                   for line in (*table, *zip(*table))):
-            raise GroupConstructionError("the table is not a Latin square")
+            raise InvariantError("the table is not a Latin square")
         if any(table[0][j] != j or table[j][0] != j for j in range(n)):
-            raise GroupConstructionError("identity row/column is wrong")
+            raise InvariantError("identity row/column is wrong")
         powers = [_powers(table, i) for i in range(n)]
         keys = [_element_key(i, g, len(p)) for i, (g, p) in enumerate(zip(elements, powers))]
         perm = sorted(range(n), key=keys.__getitem__)
         if any(keys[a] == keys[b] for a, b in zip(perm, perm[1:])):
-            raise GroupConstructionError("two elements are equal")
+            raise InvariantError("two elements are equal")
         if perm != list(range(n)):  # a group already in canonical order is kept
             where = sorted(range(n), key=perm.__getitem__)  # old index -> new
             pick = itemgetter(*perm)
@@ -252,12 +247,12 @@ class FiniteSubgroup(Record):
             powers = [[where[x] for x in powers[old]] for old in perm]
         inverse_of = tuple(row.index(0) for row in table)
         if any(table[j][i] != 0 for i, j in enumerate(inverse_of)):
-            raise GroupConstructionError("inverse map is wrong")
+            raise InvariantError("inverse map is wrong")
         rng = random.Random(0)
         for _ in range(min(200, n ** 3)):
             a, b, c = (rng.randrange(n) for _ in range(3))
             if table[table[a][b]][c] != table[a][table[b][c]]:
-                raise GroupConstructionError("associativity spot check failed")
+                raise InvariantError("associativity spot check failed")
         orders = tuple(map(len, powers))
         classes = _canonical_classes(table, inverse_of, orders)
         class_of = [0] * n
@@ -308,8 +303,8 @@ class FiniteSubgroup(Record):
                   for e in obj["elements"]),
             tuple(tuple(int(x) for x in row) for row in obj["mult_table"]))
         if json.dumps(group.to_json_obj()) != json.dumps(obj):
-            raise GroupConstructionError("stored elements, orders, inverses, classes, "
-                                         "exponent or JSON integers differ from the table's")
+            raise InvariantError("stored elements, orders, inverses, classes, "
+                                 "exponent or JSON integers differ from the table's")
         return group
 
 
@@ -339,7 +334,7 @@ def _close_under_multiplication(gens: list[GroupElement],
                     parents.append((gi, pos))
                     fresh.append(index[prod])
                     if len(elements) > bound:
-                        raise GroupConstructionError(
+                        raise InvariantError(
                             f"closure exceeded {bound} elements; generators are wrong")
                 targets.append(index[prod])
             right.append(targets)

@@ -5,7 +5,12 @@ edges between vertices i and j is the multiplicity of character j in
 the product of the defining character with character i.  Its graph is
 classified against explicit reference affine diagrams, and the data
 (adjacency, Cartan matrix, kernel vector, labeling) is verified rather
-than assumed: C * delta = 0, one-dimensional kernel, primitive delta.
+than assumed: C * delta = 0 with delta positive and primitive, and the
+classification.  The kernel of C is then the line through delta by
+Perron-Frobenius, with no linear algebra: A = 2I - C is nonnegative and,
+as the quiver is connected, irreducible, and A delta = 2 delta with
+delta > 0 makes 2 its Perron root, which is simple (Kac,
+Infinite-dimensional Lie algebras, Thm 4.3).
 
 Reference labelings put the affine vertex at 0; the finite diagram on
 vertices 1..n follows the usual conventions (chains numbered along the
@@ -18,36 +23,37 @@ import json
 from functools import lru_cache
 
 from .chartab import CharacterTable
-from .errors import InternalError, InvariantError
+from .errors import InvariantError
 from .groups import GroupSpec
 from .record import Record, _set
 
 __all__ = [
     "CartanData",
-    "ClassificationError",
     "mckay_quiver",
     "classify_ade",
     "reference_affine",
     "reference_finite",
     "expected_ade_type",
-    "matrix_determinant",
     "to_dot",
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
 
 
-class ClassificationError(InternalError):
-    """The graph is not an affine ADE diagram."""
-
-
 class CartanData(Record):
     """Affine Cartan data of a quiver with delta as its dimension vector.
     The constructor checks: a square adjacency, delta and the trivial
-    vertex in range of it, no loops, symmetry, C * delta = 0, delta
-    positive and primitive, a one-dimensional kernel, and classification
-    with the trivial vertex as the root; it derives the vertex count,
-    the Cartan matrix C = 2I - A, the type and the labeling.
+    vertex in range of it, C * delta = 0, delta >= 1 with delta = 1 at
+    the trivial vertex, and classification with the trivial vertex as
+    the root, the one check of symmetry, loops and connectivity; it
+    derives the vertex count, the Cartan matrix C = 2I - A, the type and
+    the labeling.
+
+    These prove that ker C is the line through delta.  A = 2I - C is
+    nonnegative (classification matches it edge for edge with a
+    reference diagram), and irreducible because the quiver is connected.
+    A delta = 2 delta with delta > 0, so 2 is the Perron root of A,
+    which is simple: ker C = R delta.
 
     sparse_cartan[i] holds the (j, C_ij) with C_ij != 0, j ascending: row
     i of C, and column i, as C is symmetric.  standard_labeling[v] is the
@@ -67,12 +73,6 @@ class CartanData(Record):
             raise InvariantError("quiver adjacency is not square")
         if len(delta) != r or not 0 <= trivial_vertex < r:
             raise InvariantError("delta or the trivial vertex does not fit the quiver")
-        for i in range(r):
-            if adjacency[i][i] != 0:
-                raise InvariantError(f"loop at vertex {i}: catalog quivers have none")
-            for j in range(r):
-                if adjacency[i][j] != adjacency[j][i]:
-                    raise InvariantError("quiver adjacency is not symmetric")
         cartan = tuple(tuple((2 if i == j else 0) - adjacency[i][j] for j in range(r))
                        for i in range(r))
         sparse = tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in cartan)
@@ -80,9 +80,6 @@ class CartanData(Record):
             raise InvariantError("C * delta != 0")
         if min(delta) < 1 or delta[trivial_vertex] != 1:
             raise InvariantError("delta is not a primitive positive kernel vector")
-        # C = C^T and C delta = 0 give adj C = c delta delta^T; this minor is c
-        if matrix_determinant(_delete_vertex(cartan, trivial_vertex)) == 0:
-            raise InvariantError("kernel of the affine Cartan matrix is not a line")
         ade_type, labeling = classify_ade(adjacency, delta, trivial_vertex)
         _set(self, "vertex_count", r)
         _set(self, "cartan", cartan)
@@ -229,20 +226,20 @@ def classify_ade(adjacency: Matrix, delta: tuple[int, ...],
     labels and edge multiplicities are preserved, and root_vertex is
     sent to vertex 0.  Of all such bijections the lexicographically
     smallest tuple is returned, so the labeling does not depend on how
-    the search runs.  Raises ClassificationError if the graph matches no
+    the search runs.  Raises InvariantError if the graph matches no
     reference.
     """
     adjacency = tuple(tuple(row) for row in adjacency)
     n = len(adjacency)
     if any(len(row) != n for row in adjacency):
-        raise ClassificationError("adjacency matrix is not square")
+        raise InvariantError("adjacency matrix is not square")
     if any(adjacency[i][j] != adjacency[j][i] for i in range(n) for j in range(n)):
-        raise ClassificationError("adjacency matrix is not symmetric")
+        raise InvariantError("adjacency matrix is not symmetric")
     delta = tuple(delta)
     if n < 2 or len(delta) != n:
-        raise ClassificationError("not an affine ADE diagram")
+        raise InvariantError("not an affine ADE diagram")
     if not 0 <= root_vertex < n:
-        raise ClassificationError(f"root vertex {root_vertex} is not a vertex")
+        raise InvariantError(f"root vertex {root_vertex} is not a vertex")
     # each vertex reached from the root, mapped to its breadth-first parent
     parent: dict[int, int | None] = {root_vertex: None}
     queue = list(parent)
@@ -252,42 +249,13 @@ def classify_ade(adjacency: Matrix, delta: tuple[int, ...],
                 parent[u] = v
                 queue.append(u)
     if len(parent) != n:
-        raise ClassificationError("not an affine ADE diagram: graph is disconnected")
+        raise InvariantError("not an affine ADE diagram: graph is disconnected")
     for ade_type in _candidate_types(n):
         ref_adj, ref_delta = reference_affine(ade_type)
         labelings = _isomorphisms(adjacency, delta, ref_adj, ref_delta, parent)
         if labelings:
             return ade_type, min(labelings)
-    raise ClassificationError("not an affine ADE diagram")
-
-
-# -- exact linear algebra over Z ---------------------------------------
-
-def matrix_determinant(matrix: Matrix) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination with row swaps: each step divides by the previous pivot,
-    and that division is exact."""
-    rows = [list(row) for row in matrix]
-    n = len(rows)
-    sign, previous = 1, 1
-    for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if rows[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        top = rows[k]
-        for row in rows[k + 1:]:
-            for j in range(k + 1, n):
-                row[j] = (row[j] * top[k] - row[k] * top[j]) // previous
-        previous = top[k]
-    return sign * rows[-1][-1] if n else 1
-
-
-def _delete_vertex(matrix: Matrix, vertex: int) -> Matrix:
-    return tuple(tuple(x for j, x in enumerate(row) if j != vertex)
-                 for i, row in enumerate(matrix) if i != vertex)
+    raise InvariantError("not an affine ADE diagram")
 
 
 # -- the quiver itself -------------------------------------------------

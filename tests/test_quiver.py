@@ -1,12 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mckay.errors import InvariantError
-from mckay.quiver import (CartanData, ClassificationError, _delete_vertex,
-                          classify_ade, expected_ade_type, matrix_determinant,
-                          reference_affine, to_dot)
+from mckay.quiver import (CartanData, classify_ade, expected_ade_type, reference_affine,
+                          to_dot)
 from mckay.groups import GroupSpec
 from mckay.highest_weight import freudenthal, freudenthal_box, weylkac_box, weylkac_oracle
 from mckay.roots import m_v_status
@@ -101,12 +102,12 @@ def test_classify_square_as_a3():
 def test_classify_rejects_non_ade_graphs():
     complete = tuple(tuple(0 if i == j else 1 for j in range(4))
                      for i in range(4))
-    with pytest.raises(ClassificationError):
+    with pytest.raises(InvariantError):
         classify_ade(complete, (1, 1, 1, 1), 0)
     disconnected = ((0, 2, 0, 0), (2, 0, 0, 0), (0, 0, 0, 2), (0, 0, 2, 0))
-    with pytest.raises(ClassificationError):
+    with pytest.raises(InvariantError):
         classify_ade(disconnected, (1, 1, 1, 1), 0)
-    with pytest.raises(ClassificationError, match="root vertex 4 is not a vertex"):
+    with pytest.raises(InvariantError, match="root vertex 4 is not a vertex"):
         classify_ade(((0, 2), (2, 0)), (1, 1), 4)
 
 
@@ -166,7 +167,7 @@ def test_classify_returns_the_least_isomorphism(ade_type):
                                  for i in range(n) for j in range(n))),
                         default=None)
             if least is None:
-                with pytest.raises(ClassificationError):
+                with pytest.raises(InvariantError):
                     classify_ade(adj, delta, root_vertex=root)
             else:
                 assert classify_ade(adj, delta, root_vertex=root) == \
@@ -181,19 +182,91 @@ def test_classify_returns_the_least_isomorphism(ade_type):
 ])
 def test_finite_cartan_determinants_match_classical_indices(text, det):
     _, _, cd = pipeline(text)
-    assert matrix_determinant(_delete_vertex(cd.cartan, cd.trivial_vertex)) == det
+    finite = [[c for j, c in enumerate(row) if j != cd.trivial_vertex]
+              for i, row in enumerate(cd.cartan) if i != cd.trivial_vertex]
+    assert _rank_and_determinant(finite) == (cd.rank, det)
 
 
-@pytest.mark.parametrize("matrix,det", [
-    (((0, 1), (1, 0)), -1),  # needs a row swap
-    (((1, 2, 3), (2, 4, 6), (1, 0, 1)), 0),
-    ((), 1),
-    (((2, 1), (1, 2)), 3),
-    (((0, 2, 1), (3, 0, 0), (1, 1, 4)), -21),  # a swap, then exact divisions
+def _rank_and_determinant(matrix):
+    """Rank of an integer matrix, and its determinant if it is square, by
+    Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank, det = 0, Fraction(1)
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        top = rows[rank]
+        det *= top[col]
+        for row in rows[rank + 1:]:
+            factor = row[col] / top[col]
+            row[:] = [x - factor * t for x, t in zip(row, top)]
+        rank += 1
+    return rank, det
+
+
+@pytest.mark.parametrize("matrix,rank,det", [
+    (((0, 1), (1, 0)), 2, -1),  # needs a row swap
+    (((1, 2, 3), (2, 4, 6), (1, 0, 1)), 2, 0),
+    ((), 0, 1),
+    (((2, -2), (-2, 2)), 1, 0),  # the affine Cartan matrix of A~1
+    (((0, 2, 1), (3, 0, 0), (1, 1, 4)), 3, -21),
 ])
-def test_matrix_determinant(matrix, det):
-    assert matrix_determinant(matrix) == det
-    assert type(matrix_determinant(matrix)) is int
+def test_the_rank_and_determinant_oracle(matrix, rank, det):
+    assert _rank_and_determinant(matrix) == (rank, det)
+
+
+# one or two reference diagrams on at most 6 vertices
+_DIAGRAMS = [("A~1",), ("A~2",), ("A~3",), ("A~4",), ("A~5",), ("D~4",), ("D~5",),
+             ("A~1", "A~1"), ("A~1", "A~2"), ("A~1", "A~3"), ("A~2", "A~2")]
+
+
+@st.composite
+def _small_quivers(draw):
+    """A quiver on at most 6 vertices: either reference diagrams side by
+    side with their delta and the vertices shuffled, so the accept path
+    and the disconnected refusal are drawn, with any vertex as the
+    trivial one, or symmetric edge counts 0-2 (loops too) with delta
+    entries 0-3 and any trivial vertex, or one just out of range."""
+    if draw(st.booleans()):
+        blocks = [reference_affine(t) for t in draw(st.sampled_from(_DIAGRAMS))]
+        old = [(b, k) for b, (adj, _) in enumerate(blocks) for k in range(len(adj))]
+        place = [old[p] for p in draw(st.permutations(range(len(old))))]
+        adjacency = tuple(tuple(blocks[b][0][k][l] if b == c else 0 for c, l in place)
+                          for b, k in place)
+        delta = tuple(blocks[b][1][k] for b, k in place)
+        return adjacency, delta, draw(st.integers(0, len(place) - 1))
+
+    r = draw(st.integers(0, 6))
+    upper = {(i, j): draw(st.integers(0, 2)) for i in range(r) for j in range(i, r)}
+    adjacency = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(r))
+                      for i in range(r))
+    delta = tuple(draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)))
+    return adjacency, delta, draw(st.integers(-1, r))
+
+
+def test_cartan_data_is_a_kernel_line_or_an_invariant_error():
+    # C * delta = 0, delta >= 1 and the classification must give a C of
+    # rank r - 1 (Perron-Frobenius), and any other input one exception type
+    accepted = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(_small_quivers())
+    def check(quiver):
+        try:
+            cd = CartanData(*quiver)
+        except InvariantError:
+            return
+        assert _rank_and_determinant(cd.cartan)[0] == cd.vertex_count - 1
+        assert all(sum(c * d for c, d in zip(row, cd.delta)) == 0 for row in cd.cartan)
+        accepted.append(cd.ade_type)
+
+    check()
+    assert accepted
 
 
 def test_dot_output_shape():
