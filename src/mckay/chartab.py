@@ -6,15 +6,18 @@ right multiplication by X give, in one elimination, the minimal
 polynomial of X and, from its r roots, the r central characters; a
 draw that does not separate them is replaced by the next one.  Degrees
 follow from the central characters, and each character is lifted to
-exact cyclotomic numbers through the discrete-log correspondence
-between F_p roots of unity and powers of zeta_exponent, once per
-rational class: the other classes of a rational class, those of g^k
-with k prime to ord(g), take the Galois conjugate sigma_k of the value
-on g.  There is no floating point anywhere.  Every table, whether built
-here or read back from JSON, has its rows sorted by its constructor and
-is reduced once more, into a prime field of its own: one `pairings`
-call there proves its rows orthonormal and gives the McKay
-multiplicities, both certified exact integers.
+exact cyclotomic numbers once per rational class: on g of order o,
+Newton's identities turn chi(g^j), j <= d, into the characteristic
+polynomial of g in F_p (valid as d < p), which factors uniquely into
+the multiplicities m_t of zeta_o^t, as o | exponent makes the o-th
+roots of unity distinct in F_p.  The other classes of a rational class,
+those of g^k with k prime to o, take the Galois conjugate sigma_k of the
+value on g, checked against their F_p values.  There is no floating
+point anywhere.  Every table, whether built here or read back from JSON,
+has its rows sorted by its constructor and is reduced once more, into a
+prime field of its own: one `pairings` call there proves its rows
+orthonormal and gives the McKay multiplicities, both certified exact
+integers.
 """
 
 from __future__ import annotations
@@ -278,38 +281,56 @@ def _split(group: FiniteSubgroup, x: list[int], p: int) -> list[list[int]] | Non
 
 
 def _lift_row(chi_fp: list[int], degree: int, power_classes: tuple[tuple[int, ...], ...],
-              zeta_pows: list[int], p: int) -> list[CycNumber]:
-    """Exact values of a character from its values in F_p, lifted once per
-    rational class.  On a class whose elements g have order o, the
-    eigenvalue zeta_o^t of g occurs m_t = (1/o) sum_s chi(g^s) zeta_o^(-st)
-    times; power_classes[c] lists the classes of g^s for s < o, and
-    zeta_pows the powers of zeta_e in F_p, e the exponent, so that
-    zeta_o = zeta_e^(e/o).  Only the first class of each rational class
-    gets this transform, and its multiplicities must sum to the degree.
-    For k prime to o, g^k has the eigenvalue zeta_o^(kt) m_t times, so the
-    class of g^k takes the multiplicities under t -> kt mod o; the
-    transform read chi(g^k), so a wrong F_p value there moves the m_t off
-    the degree."""
-    e = len(zeta_pows)
+              zeta_pows: list[int], p: int, seen: dict) -> list[CycNumber]:
+    """Exact values of a character of degree d from its values in F_p,
+    lifted once per rational class.  On its first class, of order o,
+    Newton's identities give the characteristic polynomial of g from the
+    power sums chi(g^j), j <= d, dividing by k <= d < p.  As o | e, the
+    exponent, and p = 1 (mod e), the o-th roots zeta_o^t = zeta_pows[te/o]
+    are distinct in F_p, so the polynomial factors uniquely: m_t is how
+    often x - zeta_o^t divides it, a linear remainder's root is looked up,
+    and the m_t must sum to d.  The class of g^k, k prime to o, takes the
+    multiplicities under t -> kt mod o, and for k > d, where Newton did
+    not read it, its F_p value must be sum_t m_t zeta_o^(kt).  `seen`
+    holds one table's values by (o, multiplicities), each built once."""
+    inverses = [pow(k, -1, p) for k in range(1, degree + 1)]
     values: list[CycNumber | None] = [None] * len(power_classes)
     for c, powers in enumerate(power_classes):
         if values[c] is not None:
             continue
         o = len(powers)
-        roots = zeta_pows[::e // o]
-        inv_o = pow(o, -1, p)
-        mults = {}
-        for t in range(o):
-            m = sum(chi_fp[powers[s]] * roots[-s * t % o] for s in range(o))
-            if m % p:
-                mults[t] = m % p * inv_o % p
-        total = sum(mults.values())
-        if total != degree:
-            raise InvariantError(
-                f"eigenvalue multiplicities sum to {total}, expected {degree}")
+        roots = zeta_pows[::len(zeta_pows) // o]
+        # poly[k] = (-1)^k e_k, so k poly[k] = -sum_{i<=k} poly[k-i] p_i
+        sums = [chi_fp[powers[j % o]] for j in range(1, degree + 1)]
+        poly = [1]
+        for inv in inverses:
+            poly.append(-sum(map(mul, reversed(poly), sums)) * inv % p)
+        mults, t = {}, 0
+        while len(poly) > 1 and t < o:
+            if len(poly) == 2 and -poly[1] % p in roots:  # x - zeta_o^t: look t up
+                t = roots.index(-poly[1] % p)
+            quotient = [1]
+            for a in poly[1:]:
+                quotient.append((quotient[-1] * roots[t] + a) % p)
+            if quotient.pop():
+                t += 1
+            else:
+                poly = quotient
+                mults[t] = mults.get(t, 0) + 1
+        if len(poly) > 1:
+            raise InvariantError(f"eigenvalue multiplicities sum to {degree + 1 - len(poly)}, "
+                                 f"expected {degree}")
         for k in range(o):
-            if gcd(k, o) == 1 and values[powers[k]] is None:
-                values[powers[k]] = CycNumber(o, {k * t % o: m for t, m in mults.items()})
+            if gcd(k, o) == 1:
+                target = powers[k]
+                if k > degree and chi_fp[target] != sum(
+                        m * roots[k * t % o] for t, m in mults.items()) % p:
+                    raise InvariantError(f"chi(g^{k}) and sigma_{k}(chi(g)) differ mod p")
+                if values[target] is None:
+                    key = (o, tuple(sorted((k * t % o, m) for t, m in mults.items())))
+                    if key not in seen:
+                        seen[key] = CycNumber(o, dict(key[1]))
+                    values[target] = seen[key]
     return values
 
 
@@ -329,7 +350,7 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
 
     inv_sizes = [pow(s, -1, p) for s in group.class_sizes]
 
-    rows = []
+    rows, seen = [], {}
     for omega in omegas:
         # power_classes[c][-1] is the class of g^-1
         norm = sum(omega[c] * omega[group.power_classes[c][-1]] * inv_sizes[c]
@@ -344,5 +365,5 @@ def character_table(group: FiniteSubgroup) -> CharacterTable:
             raise InvariantError("no degree d <= sqrt|G| has d^2 = |G|/norm mod p")
         # chi(g) = d * omega(g) / |C(g)| in F_p
         chi_fp = [degree * omega[c] % p * inv_sizes[c] % p for c in range(r)]
-        rows.append(tuple(_lift_row(chi_fp, degree, group.power_classes, zeta_pows, p)))
+        rows.append(tuple(_lift_row(chi_fp, degree, group.power_classes, zeta_pows, p, seen)))
     return CharacterTable(group, tuple(rows))

@@ -42,10 +42,10 @@ __all__ = [
 # CLI, so no accepted spec runs away: the largest r whose
 # `quiver --no-cache` finished in about 10 s when it was set (README
 # states what it takes now).  The Dixon split costs about r^3 per seeded
-# draw, and the cyclic groups that need many draws spend most of their
-# time there; the lift, one length-ord(g) transform per (row, rational
-# class), is most of binary-dihedral:57's; the one `pairings` check is an
-# r^3 product per function.
+# draw and is the largest part at r = 60, most of all on the cyclic
+# groups that need many draws; the one `pairings` check, an r^3 product
+# per function, comes next; the lift, d <= 6 eigenvalues per (row,
+# rational class), is a small part.
 CLASS_BUDGET = 60
 
 FAMILIES = (
@@ -158,9 +158,6 @@ class GroupElement:
     def __hash__(self) -> int:
         return self._hash
 
-    def sort_key(self) -> tuple:
-        return tuple(e.sort_key() for e in self.row)
-
     def to_json_obj(self) -> list:
         return [e.to_json_obj() for e in self.entries]
 
@@ -235,7 +232,9 @@ class FiniteSubgroup(Record):
         if any(table[0][j] != j or table[j][0] != j for j in range(n)):
             raise InvariantError("identity row/column is wrong")
         powers = [_powers(table, i) for i in range(n)]
-        keys = [_element_key(i, g, len(p)) for i, (g, p) in enumerate(zip(elements, powers))]
+        den = lcm(*(x.denominator for g in elements for x in g.row))
+        keys = [_element_key(i, g, len(p), den)
+                for i, (g, p) in enumerate(zip(elements, powers))]
         perm = sorted(range(n), key=keys.__getitem__)
         if any(keys[a] == keys[b] for a, b in zip(perm, perm[1:])):
             raise InvariantError("two elements are equal")
@@ -362,9 +361,13 @@ def _powers(table, i: int) -> list[int]:
     return powers
 
 
-def _element_key(i: int, element: GroupElement, order: int) -> tuple:
-    """Canonical element order: identity first, then (order, serialization)."""
-    return (i != 0, order, element.sort_key())
+def _element_key(i: int, element: GroupElement, order: int, den: int) -> tuple:
+    """Canonical element order: identity first, then (order, serialization),
+    each entry as (conductor, terms) with its numerators scaled to den, a
+    common denominator of the group's entries, so they order as the terms."""
+    return (i != 0, order, tuple((x.conductor, tuple((e, c * (den // x.denominator))
+                                                    for e, c in x.numerators))
+                                 for x in element.row))
 
 
 def _canonical_classes(table, inverse_of, orders) -> tuple:

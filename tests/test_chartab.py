@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -259,7 +259,8 @@ def test_the_prime_field_is_the_least_above_its_threshold(threshold, e, prime):
 
 def _fp_rows(text):
     """The table of `text` in F_p, p and zeta as `character_table` picks
-    them, with the arguments `_lift_row` takes after the row and degree."""
+    them, with the arguments `_lift_row` takes after the row and degree
+    and before the table's dict of values."""
     group, table, _ = pipeline(text)
     e = group.exponent
     p, zeta_pows = chartab._split_field(group)
@@ -268,26 +269,87 @@ def _fp_rows(text):
     return table, rows, (group.power_classes, zeta_pows, p)
 
 
-def test_the_lift_inverts_the_reduction():
-    table, rows, args = _fp_rows("binary-icosahedral")
-    for degree, row, chi_fp in zip(table.degrees, table.values, rows):
-        assert chartab._lift_row(chi_fp, degree, *args) == list(row)
+def _transform_lift(chi_fp, degree, power_classes, zeta_pows, p):
+    """The O(o^2) oracle: on the first class of each rational class, of
+    order o, the eigenvalue zeta_o^t occurs m_t = (1/o) sum_s chi(g^s)
+    zeta_o^(-st) times, and the class of g^k, k prime to o, takes the
+    multiplicities under t -> kt mod o."""
+    e = len(zeta_pows)
+    values = [None] * len(power_classes)
+    for c, powers in enumerate(power_classes):
+        if values[c] is not None:
+            continue
+        o = len(powers)
+        roots = zeta_pows[::e // o]
+        sums = {t: sum(chi_fp[powers[s]] * roots[-s * t % o] for s in range(o)) % p
+                for t in range(o)}
+        mults = {t: m * pow(o, -1, p) % p for t, m in sums.items() if m}
+        assert sum(mults.values()) == degree
+        for k in range(o):
+            if gcd(k, o) == 1 and values[powers[k]] is None:
+                values[powers[k]] = CycNumber(o, {k * t % o: m for t, m in mults.items()})
+    return values
+
+
+# the bench's catalog workload
+CATALOG = ([f"cyclic:{n}" for n in range(2, 9)]
+           + [f"binary-dihedral:{m}" for m in range(2, 7)]
+           + ["binary-tetrahedral", "binary-octahedral", "binary-icosahedral",
+              "cyclic:12", "cyclic:16", "cyclic:18", "binary-dihedral:10",
+              "binary-dihedral:16"])
+
+
+@pytest.mark.parametrize("text", CATALOG + ["binary-dihedral:57"])
+def test_the_lift_inverts_the_reduction(text):
+    # and agrees with the transform on every row
+    table, rows, args = _fp_rows(text)
+    seen = {}
+    lifted = [chartab._lift_row(chi_fp, degree, *args, seen)
+              for degree, chi_fp in zip(table.degrees, rows)]
+    assert lifted == [_transform_lift(chi_fp, degree, *args)
+                      for degree, chi_fp in zip(table.degrees, rows)]
+    assert lifted == [list(row) for row in table.values]
+    # each distinct value is built once, and every cell holding it shares it
+    assert {id(v) for row in lifted for v in row} == {id(v) for v in seen.values()}
+
+
+@pytest.mark.parametrize("text,weights", [
+    ("binary-icosahedral", {7: 1, 8: 2}),  # degree 5 + 6 + 6
+    ("binary-octahedral", None),           # the regular character, sum d chi
+])
+def test_a_reducible_character_lifts_to_the_sum_of_its_parts(text, weights):
+    table, rows, args = _fp_rows(text)
+    p, r = args[2], table.n_classes
+    weights = weights or dict(enumerate(table.degrees))
+    degree = sum(w * table.degrees[i] for i, w in weights.items())
+    assert degree > 6
+    chi_fp = [sum(w * rows[i][c] for i, w in weights.items()) % p for c in range(r)]
+    exact = [sum((w * table.values[i][c] for i, w in weights.items()), CycNumber.coerce(0))
+             for c in range(r)]
+    assert chartab._lift_row(chi_fp, degree, *args, {}) == exact
 
 
 def test_multiplicities_that_miss_the_degree_are_refused():
     table, rows, args = _fp_rows("cyclic:5")
     with pytest.raises(InvariantError, match="sum to 1, expected 2"):
-        chartab._lift_row(rows[1], 2, *args)
+        chartab._lift_row(rows[1], 2, *args, {})
 
 
-def test_a_tampered_value_off_a_rational_class_first_is_refused():
-    # cyclic:5 has the rational classes {0} and {1, 2, 3, 4}, so class 2
-    # takes class 1's multiplicities under some t -> kt; the transform on
-    # class 1 reads class 2 too, and its multiplicities stop summing to 1
-    table, rows, args = _fp_rows("cyclic:5")
+@pytest.mark.parametrize("text,order,degree,k", [("cyclic:5", 5, 1, 2),
+                                                 ("binary-icosahedral", 10, 2, 3)])
+def test_a_tampered_value_off_a_rational_class_first_is_refused(text, order, degree, k):
+    # g is the first class of order `order`; the class of g^k, k prime to
+    # the order and above the degree, is not a first class, and Newton's
+    # identities read chi(g^j) only for j <= degree, so only the sigma_k
+    # check reads the tampered value there
+    table, rows, args = _fp_rows(text)
     power_classes, _, p = args
-    assert sorted(power_classes[1][1:]) == [1, 2, 3, 4]
-    chi_fp = rows[1][:]
-    chi_fp[2] = (chi_fp[2] + 1) % p
-    with pytest.raises(InvariantError):
-        chartab._lift_row(chi_fp, table.degrees[1], *args)
+    c = next(c for c, powers in enumerate(power_classes) if len(powers) == order)
+    target = power_classes[c][k]
+    assert target > c and target not in power_classes[c][:degree + 1]
+    i = table.degrees.index(degree)
+    assert chartab._lift_row(rows[i], degree, *args, {}) == list(table.values[i])
+    chi_fp = rows[i][:]
+    chi_fp[target] = (chi_fp[target] + 1) % p
+    with pytest.raises(InvariantError, match=f"sigma_{k}\\(chi\\(g\\)\\) differ mod p"):
+        chartab._lift_row(chi_fp, degree, *args, {})
